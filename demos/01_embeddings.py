@@ -10,7 +10,7 @@ Run: python3 demos/01_embeddings.py
 
 import numpy as np
 
-from ocsketch.embedding import embed, embedding_bytes, fit_kjl, fit_nystrom
+from ocsketch.embedding import embed, fit_kjl, fit_nystrom
 from ocsketch.evaluate import synth_cluster_in_cluster
 from ocsketch.kernel import gram, quantile_bandwidth
 
@@ -29,7 +29,7 @@ nys = fit_nystrom(normal, m=100, d=5, h=h, seed=42)
 Z = embed(nys, normal)
 print(f"\nnystrom: {normal.shape} -> {Z.shape}")
 print(f"  model keeps m*(d+D) = {100 * (5 + 2)} floats "
-      f"({embedding_bytes(nys)} bytes on disk)")
+      f"({nys.landmarks.nbytes + nys.P.nbytes} bytes of float64)")
 idx = rng.choice(len(normal), 300, replace=False)
 G_true = gram(normal[idx], normal[idx], h)
 err = np.abs(G_true - Z[idx] @ Z[idx].T)
@@ -48,7 +48,7 @@ print(f"  full-rank sanity check (m = d = n = 200): max gram error {exact:.2e}")
 # downstream mixture fit absorbs; what matters is that the normal and
 # novel populations stay separated
 kjl = fit_kjl(normal, m=100, d=5, h=h, seed=42)
-print(f"\nkjl sketch: same {embedding_bytes(kjl)}-byte footprint")
+print(f"\nkjl sketch: same {kjl.landmarks.nbytes + kjl.P.nbytes}-byte footprint")
 Zn = embed(kjl, normal)
 Zv = embed(kjl, X[y == 1])
 

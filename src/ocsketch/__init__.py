@@ -13,7 +13,6 @@ from .detector import (
     detect_score,
     detect_scores,
     deserialize,
-    load_model,
     serialize,
     train_detector,
 )

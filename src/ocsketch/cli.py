@@ -15,12 +15,10 @@ from .detector import (
     NORMAL,
     NOVEL,
     choose_threshold,
-    load_model,
+    deserialize,
+    score_threshold,
     serialize,
-    serialize_ocsvm,
 )
-from .flows import percentile
-from .ocsvm import OcsvmModel
 from .pcap import parse_packet_csv
 
 
@@ -72,6 +70,9 @@ def _cmd_featurize(args):
 
 
 def _cmd_train(args):
+    if args.kind == ev.OCSVM and args.threshold_fpr is not None:
+        raise ValueError("--threshold-fpr needs --kind kjl or nystrom: "
+                         "OCSVM model files store no threshold")
     _, X, _ = read_feature_csv(args.features)
     cfg = ev.MethodConfig(
         method=args.kind,
@@ -79,15 +80,10 @@ def _cmd_train(args):
         k=AUTO if args.k == AUTO else int(args.k),
         nu=args.nu, m=args.m, d=args.d,
     )
-    if cfg.method != ev.OCSVM and cfg.k == AUTO:
-        cfg.method += "-qs"
     model = ev.train_method(X, cfg, seed=args.seed)
-    if isinstance(model, OcsvmModel):
-        data = serialize_ocsvm(model)
-    else:
-        if args.threshold_fpr is not None:
-            model.threshold = choose_threshold(model, X, args.threshold_fpr)
-        data = serialize(model)
+    if args.threshold_fpr is not None:
+        model.threshold = choose_threshold(model, X, args.threshold_fpr)
+    data = serialize(model)
     with open(args.out, "wb") as f:
         f.write(data)
     print(f"wrote {len(data)} byte model to {args.out}")
@@ -95,17 +91,14 @@ def _cmd_train(args):
 
 def _cmd_detect(args):
     with open(args.model, "rb") as f:
-        model = load_model(f.read())
+        model = deserialize(f.read())
     ids, X, _ = read_feature_csv(args.features)
     scores = ev.score_method(model, X)
     if isinstance(model, DetectorModel) and model.threshold is not None:
         threshold = model.threshold
-    elif args.threshold_fpr == 0:
-        threshold = float(np.min(scores)) if len(scores) else 0.0
     else:
-        # calibrate on the scored data: quantile rule over its own scores
-        threshold = float(percentile(scores, args.threshold_fpr)) if len(scores) \
-            else 0.0
+        # calibrate on the scored data itself
+        threshold = score_threshold(scores, args.threshold_fpr) if len(scores) else 0.0
     with open(args.out, "w") as f:
         f.write("row_id,score,label\n")
         for rid, s in zip(ids, scores):

@@ -1,22 +1,25 @@
-"""Embedding + GMM novelty detectors: train, score, threshold, serialize.
+"""Embedding + GMM novelty detectors: train, score, threshold, model files.
 
 Training embeds the normal data, picks the component count (mode-seeking
 clustering or a fixed k), and fits the mixture; scoring is the mixture
-log-density of the embedded query, so higher means more normal. Model files
-are little-endian float64 regardless of host.
+log-density of the embedded query, so higher means more normal. serialize and
+deserialize read and write the files of both model kinds (this detector and
+the OCSVM baseline); they are little-endian float64 regardless of host, and a
+model's size is the length of its file.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor
 
 from . import quickshift as qs_mod
-from .embedding import KJL, NYSTROM, EmbeddingModel, embed, embedding_bytes, fit_kjl, fit_nystrom
-from .flows import percentile
-from .gmm import GmmModel, fit_em, gmm_bytes, log_pdf
-from .kernel import quantile_bandwidth
-from .ocsvm import OcsvmModel, ocsvm_bytes
+from .embedding import KJL, NYSTROM, EmbeddingModel, embed, fit_kjl, fit_nystrom
+from .gmm import GmmModel, fit_em, log_pdf
+from .kernel import percentile, quantile_bandwidth, require_finite
+from .ocsvm import OcsvmModel
 
 NORMAL = "NORMAL"
 NOVEL = "NOVEL"
@@ -48,11 +51,6 @@ class DetectorModel:
     embedding: EmbeddingModel
     gmm: GmmModel
     threshold: float | None = None
-    feature_kind: str | None = None
-
-    @property
-    def input_dim(self):
-        return self.embedding.input_dim
 
 
 def train_detector(X_normal, config):
@@ -63,6 +61,7 @@ def train_detector(X_normal, config):
     fits the mixture. The returned model has no threshold yet.
     """
     X = np.atleast_2d(np.asarray(X_normal, dtype=float))
+    require_finite(X)
     h = config.h if config.h is not None else quantile_bandwidth(X, config.h_quantile)
     if config.kind == NYSTROM:
         emb = fit_nystrom(X, config.m, config.d, h, seed=config.seed)
@@ -93,18 +92,25 @@ def detect_score(model, x):
 
 
 def choose_threshold(model, X_normal, target_fpr=0.05):
-    """Threshold at the nearest-rank target_fpr quantile of normal scores.
+    """score_threshold of the model's scores on normal calibration data.
 
-    Classification is strict (score < t is novel), so at most a target_fpr
-    fraction of the calibration data is flagged, and target_fpr = 0 flags
-    nothing.
+    At most a target_fpr fraction of the calibration data is flagged, and
+    target_fpr = 0 flags nothing.
     """
     X = np.atleast_2d(np.asarray(X_normal, dtype=float))
     if X.shape[0] == 0:
         raise ValueError("empty calibration data")
+    return score_threshold(detect_scores(model, X), target_fpr)
+
+
+def score_threshold(scores, target_fpr):
+    """The nearest-rank target_fpr quantile of scores, or their minimum at 0.
+
+    Under the strict rule (score < t is novel) this flags at most a
+    target_fpr fraction of the scores, and target_fpr = 0 flags none.
+    """
     if not 0 <= target_fpr <= 1:
         raise ValueError(f"target_fpr must be in [0, 1], got {target_fpr}")
-    scores = detect_scores(model, X)
     if target_fpr == 0:
         return float(np.min(scores))
     return float(percentile(scores, target_fpr))
@@ -117,26 +123,26 @@ def classify(model, x):
     return NOVEL if detect_score(model, x) < model.threshold else NORMAL
 
 
-def detector_bytes(model):
-    """Exact serialized file size in bytes."""
-    size = embedding_bytes(model.embedding) + gmm_bytes(model.gmm)
-    if model.threshold is not None:
-        size += 8
-    return size
-
-
 def _floats(a):
     return np.ascontiguousarray(a, dtype="<f8").tobytes()
 
 
 def serialize(model):
-    """Serialize a detector model; exact inverse of deserialize."""
+    """File bytes of a DetectorModel or an OcsvmModel; exact inverse of deserialize."""
+    if isinstance(model, OcsvmModel):
+        n_sv, D = model.support_vectors.shape
+        return b"".join([
+            OCSVM_MAGIC,
+            struct.pack("<B2I", FORMAT_VERSION, n_sv, D),
+            _floats(model.support_vectors),
+            _floats(model.alpha),
+            struct.pack("<dd", model.rho, model.h),
+        ])
     emb, mix = model.embedding, model.gmm
-    m, d, D, k = emb.m, emb.d, emb.input_dim, mix.k
     parts = [
         DETECTOR_MAGIC,
         struct.pack("<BB", FORMAT_VERSION, _KIND_CODES[emb.kind]),
-        struct.pack("<4I", m, d, D, k),
+        struct.pack("<4I", emb.m, emb.d, emb.input_dim, mix.k),
         _floats(emb.landmarks),
         _floats(emb.P),
         struct.pack("<d", emb.h),
@@ -150,90 +156,82 @@ def serialize(model):
 
 
 class _Reader:
-    def __init__(self, buf, offset):
-        self.buf = buf
-        self.off = offset
+    """Sequential little-endian reads that name the field on failure."""
 
-    def floats(self, count):
-        need = 8 * count
-        if self.off + need > len(self.buf):
-            raise ValueError(f"truncated payload at byte {self.off}")
-        out = np.frombuffer(self.buf, dtype="<f8", count=count, offset=self.off).copy()
-        self.off += need
-        return out
+    def __init__(self, buf):
+        self.buf = buf
+        self.off = 0
+
+    def _take(self, name, size):
+        if self.off + size > len(self.buf):
+            raise ValueError(f"truncated model file: {name} at byte {self.off}")
+        self.off += size
+        return self.off - size
+
+    def unpack(self, fmt):
+        return struct.unpack_from(fmt, self.buf, self._take("header", struct.calcsize(fmt)))
+
+    def floats(self, name, *shape):
+        count = math.prod(shape)
+        out = np.frombuffer(self.buf, dtype="<f8", count=count,
+                            offset=self._take(name, 8 * count))
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"non-finite value in {name}")
+        return out.reshape(shape).copy()
 
     def remaining(self):
         return len(self.buf) - self.off
 
 
+def _require(ok, message):
+    if not ok:
+        raise ValueError(message)
+
+
 def deserialize(data):
-    """Restore a detector model from bytes produced by serialize."""
-    if len(data) < 22 or data[:4] != DETECTOR_MAGIC:
-        raise ValueError("bad magic: not a detector model file")
-    version, kind_code = struct.unpack("<BB", data[4:6])
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {version}")
-    if kind_code not in _KIND_NAMES:
-        raise ValueError(f"unknown embedding kind code {kind_code}")
-    m, d, D, k = struct.unpack("<4I", data[6:22])
-    r = _Reader(data, 22)
-    landmarks = r.floats(m * D).reshape(m, D)
-    P = r.floats(d * m).reshape(d, m)
-    h = float(r.floats(1)[0])
-    pi = r.floats(k)
-    mu = r.floats(k * d).reshape(k, d)
-    sigma = r.floats(k * d * d).reshape(k, d, d)
+    """Restore the DetectorModel or OcsvmModel whose bytes serialize produced.
+
+    The magic picks the format. Every field is checked, so a corrupted file
+    raises ValueError naming the field instead of loading a model that fails
+    when it scores.
+    """
+    r = _Reader(data)
+    magic, version = r.unpack("<4sB")
+    _require(magic in (DETECTOR_MAGIC, OCSVM_MAGIC), "unrecognized model file magic")
+    _require(version == FORMAT_VERSION, f"unsupported format version {version}")
+    if magic == OCSVM_MAGIC:
+        n_sv, D = r.unpack("<2I")
+        _require(n_sv >= 1, f"n_sv must be >= 1, got {n_sv}")
+        _require(D >= 1, f"D must be >= 1, got {D}")
+        sv = r.floats("support vectors", n_sv, D)
+        alpha = r.floats("alpha", n_sv)
+        rho, h = r.floats("offset rho and bandwidth h", 2).tolist()
+        _require(h > 0, f"bandwidth h must be positive, got {h}")
+        _require(r.remaining() == 0, f"trailing bytes after payload: {r.remaining()}")
+        return OcsvmModel(sv, alpha, rho, h, nu=float("nan"))
+
+    kind_code, m, d, D, k = r.unpack("<B4I")
+    _require(kind_code in _KIND_NAMES, f"unknown embedding kind code {kind_code}")
+    _require(1 <= d <= m, f"need 1 <= d <= m, got d={d}, m={m}")
+    _require(D >= 1, f"D must be >= 1, got {D}")
+    _require(k >= 1, f"k must be >= 1, got {k}")
+    landmarks = r.floats("landmarks", m, D)
+    P = r.floats("projection P", d, m)
+    h = float(r.floats("bandwidth h", 1)[0])
+    _require(h > 0, f"bandwidth h must be positive, got {h}")
+    pi = r.floats("weights pi", k)
+    _require(np.all(pi >= 0) and abs(pi.sum() - 1) <= 1e-9,
+             "weights pi must be >= 0 and sum to 1")
+    mu = r.floats("means mu", k, d)
+    sigma = r.floats("covariances sigma", k, d, d)
+    for l in range(k):
+        try:
+            cho_factor(sigma[l], lower=True)
+        except LinAlgError as exc:
+            raise ValueError(f"covariance sigma[{l}] is not positive definite: {exc}") from None
     threshold = None
     if r.remaining() >= 8:
-        threshold = float(r.floats(1)[0])
-    if r.remaining() != 0:
-        raise ValueError(f"trailing bytes after payload: {r.remaining()}")
+        threshold = float(r.floats("threshold", 1)[0])
+    _require(r.remaining() == 0, f"trailing bytes after payload: {r.remaining()}")
     emb = EmbeddingModel(_KIND_NAMES[kind_code], landmarks, P, h)
-    mix = GmmModel(pi, mu, sigma, reg=0.0)
-    return DetectorModel(emb, mix, threshold)
-
-
-def serialize_ocsvm(model):
-    """Serialize an OCSVM model; exact inverse of deserialize_ocsvm."""
-    n_sv, D = model.support_vectors.shape
-    return b"".join([
-        OCSVM_MAGIC,
-        struct.pack("<B", FORMAT_VERSION),
-        struct.pack("<2I", n_sv, D),
-        _floats(model.support_vectors),
-        _floats(model.alpha),
-        struct.pack("<dd", model.rho, model.h),
-    ])
-
-
-def deserialize_ocsvm(data):
-    """Restore an OCSVM model from bytes produced by serialize_ocsvm."""
-    if len(data) < 13 or data[:4] != OCSVM_MAGIC:
-        raise ValueError("bad magic: not an OCSVM model file")
-    version = data[4]
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {version}")
-    n_sv, D = struct.unpack("<2I", data[5:13])
-    r = _Reader(data, 13)
-    sv = r.floats(n_sv * D).reshape(n_sv, D)
-    alpha = r.floats(n_sv)
-    rho, h = r.floats(2)
-    if r.remaining() != 0:
-        raise ValueError(f"trailing bytes after payload: {r.remaining()}")
-    return OcsvmModel(sv, alpha, float(rho), float(h), nu=float("nan"))
-
-
-def load_model(data):
-    """Dispatch on magic: returns a DetectorModel or an OcsvmModel."""
-    if data[:4] == DETECTOR_MAGIC:
-        return deserialize(data)
-    if data[:4] == OCSVM_MAGIC:
-        return deserialize_ocsvm(data)
-    raise ValueError("unrecognized model file magic")
-
-
-def model_bytes(model):
-    """Exact file size for either model kind."""
-    if isinstance(model, OcsvmModel):
-        return ocsvm_bytes(model)
-    return detector_bytes(model)
+    return DetectorModel(emb, GmmModel(pi, mu, sigma, reg=0.0), threshold)

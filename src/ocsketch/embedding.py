@@ -19,9 +19,6 @@ KJL = "kjl"
 # their projection rows are zeroed instead of inverted
 EIG_RTOL = 1e-12
 
-# serialized header share of the embedding: magic + version + kind + m, d, D
-HEADER_BYTES = 4 + 1 + 1 + 3 * 4
-
 
 @dataclass
 class EmbeddingModel:
@@ -128,13 +125,3 @@ def embed(model, X):
         )
     K = gram(X, model.landmarks, model.h)
     return K @ model.P.T
-
-
-def embedding_bytes(model):
-    """Exact byte count of the embedding's share of the serialized model.
-
-    Header fields (magic, version, kind, m, d, D) plus the float64 payload:
-    landmarks (m*D), P (d*m), and h. Independent of the training size.
-    """
-    m, d, D = model.m, model.d, model.input_dim
-    return HEADER_BYTES + 8 * (m * (D + d) + 1)

@@ -13,19 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector import (
-    AUTO,
-    DetectorConfig,
-    DetectorModel,
-    detect_scores,
-    detector_bytes,
-    serialize,
-    serialize_ocsvm,
-    train_detector,
-)
+from .detector import AUTO, DetectorConfig, DetectorModel, detect_scores, serialize, train_detector
 from .embedding import KJL, NYSTROM
 from .kernel import quantile_bandwidth
-from .ocsvm import OcsvmModel, ocsvm_bytes, train_ocsvm
+from .ocsvm import OcsvmModel, train_ocsvm
 from .ocsvm import score as ocsvm_score
 
 MINIMAL_TUNING = "minimal_tuning"
@@ -114,9 +105,8 @@ def train_method(X_train, cfg, seed=None):
         h = quantile_bandwidth(X_train, cfg.h_quantile)
         return train_ocsvm(X_train, h, nu=cfg.nu, seed=seed)
     kind = NYSTROM if cfg.method.startswith("nystrom") else KJL
-    k = AUTO if cfg.method.endswith("-qs") else cfg.k
     dc = DetectorConfig(kind=kind, m=cfg.m, d=cfg.d, h_quantile=cfg.h_quantile,
-                        k=k, seed=seed)
+                        k=cfg.k, seed=seed)
     return train_detector(X_train, dc)
 
 
@@ -125,16 +115,6 @@ def score_method(model, X):
     if isinstance(model, OcsvmModel):
         return ocsvm_score(model, X)
     return detect_scores(model, X)
-
-
-def model_file_bytes(model):
-    if isinstance(model, OcsvmModel):
-        data = serialize_ocsvm(model)
-        assert len(data) == ocsvm_bytes(model)
-    else:
-        data = serialize(model)
-        assert len(data) == detector_bytes(model)
-    return len(data)
 
 
 def tune_minimal(train, val_normal, val_novel, method, grid=None, seed=None):
@@ -212,7 +192,6 @@ def run_experiment(normal_pool, novel_pool, methods, protocol=None,
             val_novel = novel_pool[vv_idx]
         seed = int(rng.integers(2**31))
 
-        rep_sizes = {}
         for method in methods:
             if scenario == MINIMAL_TUNING:
                 cfg = tune_minimal(X_train, val_normal, val_novel, method, seed=seed)
@@ -223,8 +202,7 @@ def run_experiment(normal_pool, novel_pool, methods, protocol=None,
             model = train_method(X_train, cfg, seed=seed)
             train_seconds = time.perf_counter() - t0
 
-            nbytes = model_file_bytes(model)
-            rep_sizes[method] = (model, nbytes)
+            nbytes = len(serialize(model))
 
             t0 = time.perf_counter()
             for _ in range(p.timing_repeats):
@@ -238,8 +216,6 @@ def run_experiment(normal_pool, novel_pool, methods, protocol=None,
             rec["model_bytes"].append(nbytes)
             rec["h_quantile"].append(cfg.h_quantile)
             rec["k"].append(model.gmm.k if isinstance(model, DetectorModel) else None)
-
-        _assert_space_ordering(rep_sizes)
 
     summary = {
         m: {metric: _mean_std(vals)
@@ -268,28 +244,11 @@ def run_experiment(normal_pool, novel_pool, methods, protocol=None,
     return EvalReport(
         scenario=scenario,
         methods=list(methods),
-        protocol={**dataclasses.asdict(p), "thread_count": 1},
+        protocol=dataclasses.asdict(p),
         per_rep=per_rep,
         summary=summary,
         ratios=ratios,
     )
-
-
-def _assert_space_ordering(rep_sizes):
-    """Detector files must beat OCSVM whenever the float-count comparison says so."""
-    if OCSVM not in rep_sizes:
-        return
-    ocsvm_model, ocsvm_nbytes = rep_sizes[OCSVM]
-    n_sv, D = ocsvm_model.support_vectors.shape
-    for method, (model, nbytes) in rep_sizes.items():
-        if method == OCSVM or not isinstance(model, DetectorModel):
-            continue
-        emb, mix = model.embedding, model.gmm
-        floats_det = emb.m * (D + emb.d) + mix.k * (1 + mix.d + mix.d**2)
-        if n_sv * (D + 1) > floats_det:
-            assert nbytes < ocsvm_nbytes, (
-                f"space ordering violated: {method} {nbytes} >= ocsvm {ocsvm_nbytes}"
-            )
 
 
 def _mean_std(vals):

@@ -10,11 +10,11 @@ Three feature families are produced from truncated flows:
                   duration quantile; D = L.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernel import percentile
 from .pcap import PacketRecord
 
 IAT_SIZE = "iat_size"
@@ -28,24 +28,6 @@ TCP_FLAG_BITS = (
 )
 
 STATS_HEADER_DIM = 19
-
-
-def percentile(values, q):
-    """Nearest-rank percentile: the value at 1-based index ceil(q*M).
-
-    Parameters
-    ----------
-    values : nonempty iterable of reals
-    q : float in (0, 1]
-    """
-    vals = sorted(values)
-    if not vals:
-        raise ValueError("percentile of empty input")
-    if not 0 < q <= 1:
-        raise ValueError(f"quantile must be in (0, 1], got {q}")
-    # guard against float products landing epsilon above an exact integer
-    rank = max(1, math.ceil(q * len(vals) - 1e-9))
-    return vals[rank - 1]
 
 
 @dataclass

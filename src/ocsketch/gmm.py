@@ -199,12 +199,3 @@ def fit_em(X, k, init=None, tol=1e-4, max_iter=200, seed=None, reg=None):
     if reinits:
         model.diagnostics["reinitialized_components"] = reinits
     return model
-
-
-def gmm_bytes(model):
-    """Exact byte count of the GMM's share of the serialized model.
-
-    One u32 (k) plus the float64 payload 8*k*(1 + d + d^2): weights, means,
-    covariances.
-    """
-    return 4 + 8 * model.k * (1 + model.d + model.d**2)

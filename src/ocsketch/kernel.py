@@ -1,4 +1,6 @@
-"""Gaussian kernel, pairwise distances, and quantile bandwidth selection."""
+"""Gaussian kernel, pairwise distances, nearest-rank quantiles, and bandwidths."""
+
+import math
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
@@ -28,6 +30,14 @@ def gaussian_kernel(x, y, h):
     return float(np.exp(-np.dot(diff, diff) / h**2))
 
 
+def require_finite(X):
+    """Raise ValueError naming the first non-finite entry of a 2-D array."""
+    bad = ~np.isfinite(X)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ValueError(f"non-finite value {X[row, col]} at row {row}, column {col}")
+
+
 def pairwise_distances(X):
     """All n(n-1)/2 Euclidean distances between rows of X, sorted ascending.
 
@@ -47,6 +57,28 @@ def pairwise_distances(X):
     return d
 
 
+def nearest_rank(count, q):
+    """1-based index ceil(q*count) of the nearest-rank q-quantile of count values."""
+    if not 0 < q <= 1:
+        raise ValueError(f"quantile must be in (0, 1], got {q}")
+    # guard against float products landing epsilon above an exact integer
+    return max(1, math.ceil(q * count - 1e-9))
+
+
+def percentile(values, q):
+    """Nearest-rank percentile: the value at 1-based index ceil(q*M).
+
+    Parameters
+    ----------
+    values : nonempty iterable of reals
+    q : float in (0, 1]
+    """
+    vals = sorted(values)
+    if not vals:
+        raise ValueError("percentile of empty input")
+    return vals[nearest_rank(len(vals), q) - 1]
+
+
 def quantile_bandwidth(X, q):
     """Bandwidth as the nearest-rank q-quantile of pairwise distances.
 
@@ -62,13 +94,8 @@ def quantile_bandwidth(X, q):
     -------
     float > 0
     """
-    if not 0 < q <= 1:
-        raise ValueError(f"quantile must be in (0, 1], got {q}")
     dists = pairwise_distances(X)
-    m = len(dists)
-    # guard against float products landing epsilon above an exact integer
-    rank = max(1, int(np.ceil(q * m - 1e-9)))
-    h = float(dists[rank - 1])
+    h = float(dists[nearest_rank(len(dists), q) - 1])
     if h == 0.0:
         positive = dists[dists > 0]
         if positive.size == 0:

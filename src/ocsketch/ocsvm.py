@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import gram
+from .kernel import gram, require_finite
 
 SV_EPS = 1e-12  # alpha above this counts as a support vector
 
@@ -91,6 +91,7 @@ def train_ocsvm(X, h, nu=0.5, tol=1e-3, max_kernel_evals=10_000_000, seed=None,
     n = X.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 training points, got {n}")
+    require_finite(X)
     if not 0 < nu <= 1:
         raise ValueError(f"nu must be in (0, 1], got {nu}")
     if h <= 0:
@@ -182,9 +183,3 @@ def score(model, x):
         )
     vals = gram(Xq, model.support_vectors, model.h) @ model.alpha - model.rho
     return float(vals[0]) if single else vals
-
-
-def ocsvm_bytes(model):
-    """Exact serialized size: 13-byte header + 8*(n_sv*(D+1) + 2) floats."""
-    n_sv, D = model.support_vectors.shape
-    return 13 + 8 * (n_sv * (D + 1) + 2)

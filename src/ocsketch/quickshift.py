@@ -81,7 +81,8 @@ def knn_log_density(X, k_n, table=None):
     """Per-point log-density -d * log(r_i), r_i the k_n-th neighbor distance.
 
     Zero radii (duplicated points) fall back to 1e-3 times the smallest
-    positive radius; all points identical is an error.
+    positive radius; zero radii everywhere (every point with k_n or more exact
+    duplicates) is an error.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     d = X.shape[1]
@@ -92,7 +93,8 @@ def knn_log_density(X, k_n, table=None):
     if np.any(radii == 0):
         positive = radii[radii > 0]
         if positive.size == 0:
-            raise ValueError("degenerate dataset: all points identical")
+            raise ValueError(
+                f"degenerate dataset: every point has at least {k_n} exact duplicates")
         radii[radii == 0] = 1e-3 * positive.min()
     return -d * np.log(radii)
 

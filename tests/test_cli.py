@@ -153,3 +153,24 @@ def test_evaluate_rejects_unknown_protocol_field(tmp_path, capsys):
                "--protocol", str(proto_path), "--report", str(tmp_path / "r.json")])
     assert rc == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_train_ocsvm_rejects_threshold_fpr(tmp_path, capsys):
+    npath, _ = synth_pools(tmp_path)
+    rc = main(["train", "--features", str(npath), "--kind", "ocsvm",
+               "--threshold-fpr", "0.05", "--out", str(tmp_path / "m.bin")])
+    assert rc == 1
+    assert "--threshold-fpr" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
+
+
+def test_detect_zero_fpr_flags_nothing(tmp_path):
+    npath, _ = synth_pools(tmp_path)
+    model_path = tmp_path / "ocsvm.bin"
+    assert main(["train", "--features", str(npath), "--kind", "ocsvm",
+                 "--seed", "0", "--out", str(model_path)]) == 0
+    scores_path = tmp_path / "scores.csv"
+    assert main(["detect", "--model", str(model_path), "--features", str(npath),
+                 "--threshold-fpr", "0", "--out", str(scores_path)]) == 0
+    rows = scores_path.read_text().strip().split("\n")[1:]
+    assert all(r.split(",")[2] == "NORMAL" for r in rows)

@@ -9,19 +9,15 @@ from ocsketch.detector import (
     choose_threshold,
     classify,
     deserialize,
-    deserialize_ocsvm,
     detect_score,
     detect_scores,
-    detector_bytes,
-    load_model,
     serialize,
-    serialize_ocsvm,
     train_detector,
 )
 from ocsketch.embedding import EmbeddingModel, embed
 from ocsketch.evaluate import synth_cluster_in_cluster
 from ocsketch.gmm import GmmModel, fit_em, log_pdf
-from ocsketch.ocsvm import train_ocsvm
+from ocsketch.ocsvm import OcsvmModel, train_ocsvm
 
 from ocsketch.detector import DetectorModel
 
@@ -173,9 +169,9 @@ def test_serialized_size_formula():
     model = train_detector(Xn, small_config(k=3))
     m, d, D, k = 50, 4, 2, 3
     expected = 22 + 8 * (m * (D + d) + 1 + k * (1 + d + d * d))
-    assert len(serialize(model)) == expected == detector_bytes(model)
+    assert len(serialize(model)) == expected
     model.threshold = 1.0
-    assert len(serialize(model)) == expected + 8 == detector_bytes(model)
+    assert len(serialize(model)) == expected + 8
 
 
 def test_deserialize_rejects_corruption():
@@ -202,18 +198,47 @@ def test_ocsvm_serialization_roundtrip():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((40, 3))
     model = train_ocsvm(X, 1.0, nu=0.5, seed=0)
-    data = serialize_ocsvm(model)
-    restored = deserialize_ocsvm(data)
-    assert serialize_ocsvm(restored) == data
+    data = serialize(model)
+    restored = deserialize(data)
+    assert serialize(restored) == data
     with pytest.raises(ValueError):
-        deserialize_ocsvm(data[:-1])
+        deserialize(data[:-1])
 
 
-def test_load_model_dispatch():
+def test_deserialize_dispatches_on_magic():
     Xn, _ = ring_data(150)
     det = train_detector(Xn, small_config(k=1))
     svm = train_ocsvm(Xn[:50], 1.0, seed=0)
-    assert isinstance(load_model(serialize(det)), DetectorModel)
-    assert not isinstance(load_model(serialize_ocsvm(svm)), DetectorModel)
+    assert isinstance(deserialize(serialize(det)), DetectorModel)
+    assert isinstance(deserialize(serialize(svm)), OcsvmModel)
     with pytest.raises(ValueError):
-        load_model(b"ZZZZ" + b"\x00" * 40)
+        deserialize(b"ZZZZ" + b"\x00" * 40)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("trainer", ["detector", "ocsvm"])
+def test_trainers_reject_non_finite_rows(trainer, bad):
+    X = np.random.default_rng(0).standard_normal((200, 4))
+    X[37, 2] = bad
+    X[90, 1] = bad
+    with pytest.raises(ValueError, match="row 37, column 2"):
+        if trainer == "detector":
+            train_detector(X, small_config(m=20))
+        else:
+            train_ocsvm(X, 1.0, seed=0)
+
+
+def test_train_rejects_duplicate_heavy_data():
+    X = np.tile(np.random.default_rng(1).standard_normal((3, 2)), (40, 1))
+    with pytest.raises(ValueError, match="exact duplicates"):
+        train_detector(X, small_config(m=20, d=2))
+
+
+def test_deserialize_rejects_non_positive_definite_covariance():
+    Xn, _ = ring_data(300)
+    raw = bytearray(serialize(train_detector(Xn, small_config(k=2))))
+    m, d, D, k = 50, 4, 2, 2
+    first_sigma = 22 + 8 * (m * (D + d) + 1 + k + k * d)
+    raw[first_sigma:first_sigma + 8] = np.float64(-5.0).astype("<f8").tobytes()
+    with pytest.raises(ValueError, match=r"sigma\[0\]"):
+        deserialize(bytes(raw))

@@ -6,7 +6,6 @@ from ocsketch.embedding import (
     NYSTROM,
     EmbeddingModel,
     embed,
-    embedding_bytes,
     fit_kjl,
     fit_nystrom,
 )
@@ -126,17 +125,6 @@ def test_embed_affine_in_projection():
     scaled = EmbeddingModel(model.kind, model.landmarks, 3.0 * model.P, model.h)
     Q = rng.standard_normal((6, 3))
     assert np.allclose(embed(scaled, Q), 3.0 * embed(model, Q), rtol=1e-12)
-
-
-def test_embedding_bytes():
-    def mk(m, d, D):
-        return EmbeddingModel(KJL, np.zeros((m, D)), np.zeros((d, m)), 1.0)
-
-    header = 18
-    assert embedding_bytes(mk(100, 5, 20)) == header + 8 * (100 * 25 + 1)
-    assert embedding_bytes(mk(1, 1, 1)) == header + 8 * (2 + 1)
-    # independent of training size: no n anywhere in the model
-    assert embedding_bytes(mk(10, 2, 3)) == embedding_bytes(mk(10, 2, 3))
 
 
 def test_rank_deficient_rows_zeroed():

@@ -7,11 +7,11 @@ from ocsketch.flows import (
     STATS_HEADER,
     assemble_flows,
     iat_size_features,
-    percentile,
     samp_size_features,
     stats_header_features,
     truncate_flows,
 )
+from ocsketch.kernel import percentile
 from ocsketch.pcap import PacketRecord
 
 

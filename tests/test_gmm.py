@@ -6,7 +6,6 @@ from ocsketch.gmm import (
     default_reg,
     e_step,
     fit_em,
-    gmm_bytes,
     log_pdf,
     m_step,
 )
@@ -206,15 +205,3 @@ def test_fit_covariances_respect_ridge_floor():
 def test_fit_k_exceeds_n():
     with pytest.raises(ValueError):
         fit_em(np.zeros((3, 2)), 4)
-
-
-def test_gmm_bytes():
-    def mk(k, d):
-        return GmmModel(np.ones(k) / k, np.zeros((k, d)),
-                        np.stack([np.eye(d)] * k), 0.0)
-
-    assert gmm_bytes(mk(10, 5)) == 4 + 8 * 10 * 31
-    assert gmm_bytes(mk(1, 1)) == 4 + 24
-    # the d + d^2 float count undercounts by exactly the k weights
-    k, d = 7, 4
-    assert gmm_bytes(mk(k, d)) - 4 - 8 * k * (d + d**2) == 8 * k

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
-from ocsketch.kernel import gaussian_kernel, gram, pairwise_distances, quantile_bandwidth
+from ocsketch import flows
+from ocsketch.kernel import (
+    gaussian_kernel,
+    gram,
+    nearest_rank,
+    pairwise_distances,
+    percentile,
+    quantile_bandwidth,
+    require_finite,
+)
 
 from oracles import gaussian_gram
 
@@ -104,3 +114,33 @@ def test_kernel_scale_invariance():
         assert gaussian_kernel(c * x, c * y, c * 1.2) == pytest.approx(
             gaussian_kernel(x, y, 1.2), rel=1e-12
         )
+
+
+def test_nearest_rank_by_hand():
+    assert nearest_rank(10, 0.9) == 9
+    assert nearest_rank(10, 0.91) == 10
+    assert nearest_rank(3, 0.01) == 1
+    assert nearest_rank(25, 0.28) == 7  # 0.28 * 25 lands just above 7 in floats
+    with pytest.raises(ValueError):
+        nearest_rank(5, 0.0)
+    with pytest.raises(ValueError):
+        nearest_rank(5, 1.5)
+
+
+def test_quantile_bandwidth_uses_the_percentile_rank():
+    X = np.random.default_rng(4).standard_normal((30, 3))
+    for q in (0.1, 0.25, 0.3, 0.5, 1.0):
+        assert quantile_bandwidth(X, q) == percentile(pdist(X), q)
+
+
+def test_percentile_reexported_by_flows():
+    assert flows.percentile is percentile
+
+
+def test_require_finite_names_first_entry():
+    X = np.zeros((4, 3))
+    X[2, 1] = np.nan
+    X[3, 0] = np.inf
+    with pytest.raises(ValueError, match="row 2, column 1"):
+        require_finite(X)
+    require_finite(np.ones((2, 2)))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ocsketch.kernel import gram, quantile_bandwidth
-from ocsketch.ocsvm import SV_EPS, OcsvmModel, ocsvm_bytes, score, train_ocsvm
+from ocsketch.detector import serialize
+from ocsketch.ocsvm import SV_EPS, OcsvmModel, score, train_ocsvm
 
 from oracles import ocsvm_qp
 
@@ -142,8 +143,8 @@ def test_ocsvm_bytes():
     def mk(n_sv, D):
         return OcsvmModel(np.zeros((n_sv, D)), np.ones(n_sv) / n_sv, 0.5, 1.0, 0.5)
 
-    assert ocsvm_bytes(mk(2500, 20)) == 13 + 8 * (2500 * 21 + 2)
-    assert ocsvm_bytes(mk(1, 1)) == 13 + 16 + 16
+    assert len(serialize(mk(2500, 20))) == 13 + 8 * (2500 * 21 + 2)
+    assert len(serialize(mk(1, 1))) == 13 + 16 + 16
     # linear growth in the support vector count
-    sizes = [ocsvm_bytes(mk(n, 4)) for n in (10, 20, 40)]
+    sizes = [len(serialize(mk(n, 4))) for n in (10, 20, 40)]
     assert sizes[2] - sizes[1] == 2 * (sizes[1] - sizes[0])
