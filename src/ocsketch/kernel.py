@@ -1,4 +1,4 @@
-"""Gaussian kernel, pairwise distances, nearest-rank quantiles, and bandwidths."""
+"""Gaussian kernel, nearest-rank quantiles, distance-quantile bandwidths, gram matrices."""
 
 import math
 
@@ -38,25 +38,6 @@ def require_finite(X):
         raise ValueError(f"non-finite value {X[row, col]} at row {row}, column {col}")
 
 
-def pairwise_distances(X):
-    """All n(n-1)/2 Euclidean distances between rows of X, sorted ascending.
-
-    Parameters
-    ----------
-    X : array-like, shape (n, D), n >= 2
-
-    Returns
-    -------
-    ndarray, shape (n*(n-1)/2,), ascending.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] < 2:
-        raise ValueError(f"need at least 2 points, got {X.shape[0]}")
-    d = pdist(X)
-    d.sort()
-    return d
-
-
 def nearest_rank(count, q):
     """1-based index ceil(q*count) of the nearest-rank q-quantile of count values."""
     if not 0 < q <= 1:
@@ -94,13 +75,18 @@ def quantile_bandwidth(X, q):
     -------
     float > 0
     """
-    dists = pairwise_distances(X)
-    h = float(dists[nearest_rank(len(dists), q) - 1])
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[0] < 2:
+        raise ValueError(f"need at least 2 points, got {X.shape[0]}")
+    dists = pdist(X)
+    rank = nearest_rank(len(dists), q) - 1
+    dists.partition(rank)  # in place: a copy would double the n(n-1)/2 floats
+    h = float(dists[rank])
     if h == 0.0:
         positive = dists[dists > 0]
         if positive.size == 0:
             raise ValueError("degenerate dataset: all points identical")
-        h = float(positive[0])
+        h = float(positive.min())
     return h
 
 

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import cdist
 
 NOISE = -1
@@ -56,8 +58,9 @@ class Clustering:
 def knn_table(X, k_n):
     """Neighbor indices (n, k_n) and k_n-th neighbor distance per point.
 
-    Neighbors are in ascending distance order with ties broken by index
-    (stable sort); a point is never its own neighbor.
+    Neighbors are in ascending distance order with ties broken by index;
+    a point is never its own neighbor. Each row partitions out its k_n-th
+    smallest distance and sorts only the candidates at or below it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
@@ -68,12 +71,14 @@ def knn_table(X, k_n):
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         d = cdist(X[start:stop], X)
-        order = np.argsort(d, axis=1, kind="stable")
+        rows = np.arange(stop - start)
+        d[rows, rows + start] = np.inf
+        kth = np.partition(d, k_n - 1, axis=1)[:, k_n - 1]
         for local, i in enumerate(range(start, stop)):
-            row = order[local]
-            row = row[row != i][:k_n]
-            nbrs[i] = row
-            radii[i] = d[local, row[-1]]
+            # candidates come in index order, so a stable sort breaks ties by index
+            cand = np.flatnonzero(d[local] <= kth[local])
+            nbrs[i] = cand[np.argsort(d[local, cand], kind="stable")[:k_n]]
+        radii[start:stop] = kth
     return nbrs, radii
 
 
@@ -99,73 +104,20 @@ def knn_log_density(X, k_n, table=None):
     return -d * np.log(radii)
 
 
-def _core_pass(order, nbrs, pos, dens, log_gap):
-    """Union-find sweep in decreasing density; freezes persistent clusters.
+def _merge_events(nbrs, pos):
+    """(step, t) of every edge on which the sweep merges two components, in order.
 
-    Returns (core_id per point, number of frozen cores, parent, peak).
-    Plain loops so the numba-jitted twin shares this exact code.
+    The sweep visits edges (i, nbrs[i, t]) to already-processed neighbors in
+    key order pos[i]*k_n + t, and merges on exactly the edges Kruskal's
+    algorithm keeps under those distinct keys: the minimum spanning forest
+    (0-dimensional persistence, as in ToMATo).
     """
-    n = order.shape[0]
-    parent = np.full(n, -1, dtype=np.int64)
-    peak = np.full(n, -1, dtype=np.int64)
-    core_id = np.full(n, -1, dtype=np.int64)
-    n_cores = 0
-
-    for step in range(n):
-        i = order[step]
-        parent[i] = i
-        peak[i] = i
-        for t in range(nbrs.shape[1]):
-            j = nbrs[i, t]
-            if pos[j] >= step:  # not yet processed
-                continue
-            ra = i
-            while parent[ra] != ra:
-                parent[ra] = parent[parent[ra]]
-                ra = parent[ra]
-            rb = j
-            while parent[rb] != rb:
-                parent[rb] = parent[parent[rb]]
-                rb = parent[rb]
-            if ra == rb:
-                continue
-            # ra keeps the higher peak (ties: smaller peak index)
-            da, db = dens[peak[ra]], dens[peak[rb]]
-            if db > da or (db == da and peak[rb] < peak[ra]):
-                ra, rb = rb, ra
-            # persistence test: freeze rb if the merge level sits far enough
-            # below its peak and its peak is not already inside a core
-            if dens[i] < dens[peak[rb]] + log_gap and core_id[peak[rb]] == -1:
-                fresh = 0
-                for p in range(n):
-                    if pos[p] > step or core_id[p] != -1:
-                        continue
-                    rp = p
-                    while parent[rp] != rp:
-                        rp = parent[rp]
-                    if rp == rb:
-                        fresh += 1
-                if fresh > 0:
-                    for p in range(n):
-                        if pos[p] > step or core_id[p] != -1:
-                            continue
-                        rp = p
-                        while parent[rp] != rp:
-                            parent[rp] = parent[parent[rp]]
-                            rp = parent[rp]
-                        if rp == rb:
-                            core_id[p] = n_cores
-                    n_cores += 1
-            parent[rb] = ra
-    return core_id, n_cores, parent, peak
-
-
-try:  # pragma: no cover - exercised implicitly wherever numba is present
-    from numba import njit
-
-    _core_pass_fast = njit(cache=True)(_core_pass)
-except ImportError:  # pragma: no cover
-    _core_pass_fast = _core_pass
+    n, k_n = nbrs.shape
+    rows, t = np.nonzero(pos[nbrs] < pos[:, None])
+    keys = (pos[rows] * k_n + t + 1).astype(float)  # +1: csgraph drops zero weights
+    forest = minimum_spanning_tree(coo_matrix((keys, (rows, nbrs[rows, t])), shape=(n, n)))
+    events = np.sort(forest.data).astype(np.int64) - 1
+    return events // k_n, events % k_n
 
 
 def cluster_cores(X, densities, k_n, beta, table=None):
@@ -176,6 +128,8 @@ def cluster_cores(X, densities, k_n, beta, table=None):
     absorbed at a level more than log(1-beta) below its own peak freezes its
     members as a core first; after the sweep every surviving root component
     contributes a final core from its members within log(1-beta) of the peak.
+    Only the merge events change any of this state, so the sweep replays just
+    those (at most n-1 edges).
 
     Returns a list of index arrays, one per core, in creation order.
     """
@@ -192,25 +146,49 @@ def cluster_cores(X, densities, k_n, beta, table=None):
     pos[order] = np.arange(n)
     log_gap = math.log(1.0 - beta)
 
-    core_id, n_cores, parent, peak = _core_pass_fast(order, nbrs, pos, dens, log_gap)
+    steps, ts = _merge_events(nbrs, pos)
+    level = dens.tolist()
+    parent = list(range(n))
+    peak = list(range(n))  # per root
+    unfrozen = [[p] for p in range(n)]  # per root: members not yet in a core
+    frozen = [False] * n
+    cores = []
 
-    core_id = np.array(core_id)
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    merging = order[steps]
+    for i, j in zip(merging.tolist(), nbrs[merging, ts].tolist()):
+        ra, rb = find(i), find(j)
+        # ra keeps the higher peak (ties: smaller peak index)
+        pa, pb = peak[ra], peak[rb]
+        if level[pb] > level[pa] or (level[pb] == level[pa] and pb < pa):
+            ra, rb, pb = rb, ra, pa
+        # persistence test: freeze rb if the merge level sits far enough
+        # below its peak and its peak is not already inside a core
+        if level[i] < level[pb] + log_gap and not frozen[pb]:
+            for p in unfrozen[rb]:
+                frozen[p] = True
+            cores.append(unfrozen[rb])
+            unfrozen[rb] = []
+        parent[rb] = ra
+        if len(unfrozen[ra]) < len(unfrozen[rb]):
+            unfrozen[ra], unfrozen[rb] = unfrozen[rb], unfrozen[ra]
+        unfrozen[ra].extend(unfrozen[rb])
+        unfrozen[rb] = []
+
     # final cores: one per surviving root, highest peak first
-    roots = {}
-    for p in range(n):
-        r = p
-        while parent[r] != r:
-            r = parent[r]
-        roots.setdefault(r, []).append(p)
-    root_order = sorted(roots, key=lambda r: (-dens[peak[r]], peak[r]))
-    next_id = n_cores
-    for r in root_order:
-        threshold = dens[peak[r]] + log_gap
-        fresh = [p for p in roots[r] if core_id[p] == -1 and dens[p] >= threshold]
+    roots = sorted((r for r in range(n) if parent[r] == r),
+                   key=lambda r: (-level[peak[r]], peak[r]))
+    for r in roots:
+        threshold = level[peak[r]] + log_gap
+        fresh = [p for p in unfrozen[r] if level[p] >= threshold]
         if fresh:
-            core_id[fresh] = next_id
-            next_id += 1
-    return [np.flatnonzero(core_id == c) for c in range(next_id)]
+            cores.append(fresh)
+    return [np.sort(np.array(c, dtype=np.intp)) for c in cores]
 
 
 def quickshift_assign(X, densities, cores, k_n, table=None):

@@ -2,12 +2,14 @@
 
 These deliberately avoid the library's own code paths: the QP oracle
 enumerates KKT partitions, the AUC oracle counts pairs, the density oracle
-sums Gaussians directly.
+sums Gaussians directly, the kNN oracle argsorts whole distance rows and the
+core oracle runs the union-find sweep over every kNN edge.
 """
 
 import itertools
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 
 def gaussian_gram(X, Y, h):
@@ -97,3 +99,74 @@ def nystrom_target_gram(K_II, K_IJ, d, eig_rtol=1e-12):
     keep = lam >= eig_rtol * lam[0]
     inv = V[:, keep] @ np.diag(1.0 / lam[keep]) @ V[:, keep].T
     return K_IJ.T @ inv @ K_IJ
+
+
+def knn_table_argsort(X, k_n):
+    """kNN table from a full stable argsort of every distance row.
+
+    Same contract as quickshift.knn_table: neighbors in ascending distance,
+    ties by index, a point never its own neighbor, radius the k_n-th distance.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    d = cdist(X, X)
+    order = np.argsort(d, axis=1, kind="stable")
+    nbrs = np.empty((len(X), k_n), dtype=np.int64)
+    for i, row in enumerate(order):
+        nbrs[i] = row[row != i][:k_n]
+    return nbrs, d[np.arange(len(X)), nbrs[:, -1]]
+
+
+def cluster_cores_sweep(densities, nbrs, beta):
+    """Cluster cores from the full union-find sweep over every kNN edge.
+
+    Visits points in decreasing density (ties by index) and each point's
+    processed neighbors in table order; on a merge below log(1 - beta) of the
+    absorbed component's peak, rescans all points to freeze that component's
+    unfrozen members as a core. Same contract as quickshift.cluster_cores.
+    """
+    dens = np.asarray(densities, dtype=float)
+    n = len(dens)
+    order = np.lexsort((np.arange(n), -dens))
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    log_gap = np.log(1.0 - beta)
+    parent = np.full(n, -1)
+    peak = np.full(n, -1)
+    core_id = np.full(n, -1)
+    n_cores = 0
+
+    def find(p):
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    for step in range(n):
+        i = order[step]
+        parent[i] = i
+        peak[i] = i
+        for j in nbrs[i]:
+            if pos[j] >= step:
+                continue
+            ra, rb = find(i), find(j)
+            if ra == rb:
+                continue
+            da, db = dens[peak[ra]], dens[peak[rb]]
+            if db > da or (db == da and peak[rb] < peak[ra]):
+                ra, rb = rb, ra
+            if dens[i] < dens[peak[rb]] + log_gap and core_id[peak[rb]] == -1:
+                members = [p for p in range(n) if pos[p] <= step
+                           and core_id[p] == -1 and find(p) == rb]
+                core_id[members] = n_cores
+                n_cores += 1
+            parent[rb] = ra
+
+    roots = {}
+    for p in range(n):
+        roots.setdefault(find(p), []).append(p)
+    for r in sorted(roots, key=lambda r: (-dens[peak[r]], peak[r])):
+        fresh = [p for p in roots[r]
+                 if core_id[p] == -1 and dens[p] >= dens[peak[r]] + log_gap]
+        if fresh:
+            core_id[fresh] = n_cores
+            n_cores += 1
+    return [np.flatnonzero(core_id == c) for c in range(n_cores)]

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocsketch.detector import (
     AUTO,
@@ -109,6 +113,25 @@ def test_choose_threshold_hand_ranks():
     t = choose_threshold(model, Xn, 0.05)
     assert t == np.sort(scores)[4]
     assert np.sum(scores < t) == 4
+
+
+@functools.cache
+def calibration_model():
+    Xn, _ = ring_data(300)
+    return train_detector(Xn, small_config(k=1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(1, 200),
+       st.one_of(st.sampled_from([0.0, 0.01, 0.05, 0.5, 1.0]), st.floats(0.0, 1.0)))
+def test_choose_threshold_flags_at_most_fpr_share(seed, n, distinct, fpr):
+    # rows drawn from `distinct` points, so few distinct rows give tied scores
+    model = calibration_model()
+    rng = np.random.default_rng(seed)
+    D = model.embedding.input_dim
+    X = 3 * rng.standard_normal((distinct, D))[rng.integers(0, distinct, n)]
+    t = choose_threshold(model, X, fpr)
+    assert np.sum(detect_scores(model, X) < t) <= fpr * len(X)
 
 
 def test_choose_threshold_all_equal_scores():

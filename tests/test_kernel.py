@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from ocsketch import flows
@@ -7,7 +9,6 @@ from ocsketch.kernel import (
     gaussian_kernel,
     gram,
     nearest_rank,
-    pairwise_distances,
     percentile,
     quantile_bandwidth,
     require_finite,
@@ -39,20 +40,26 @@ def test_kernel_errors():
         gaussian_kernel([0.0], [1.0], 0.0)
 
 
-def test_pairwise_distances_by_hand():
-    assert np.array_equal(pairwise_distances([[0.0], [1.0], [2.0]]), [1.0, 1.0, 2.0])
+def test_quantile_bandwidth_every_rank_by_hand():
+    # distances {1, 1, 2}: ranks 1 and 2 give 1, rank 3 gives 2
+    X = [[0.0], [1.0], [2.0]]
+    assert [quantile_bandwidth(X, q) for q in (0.2, 0.5, 0.7)] == [1.0, 1.0, 2.0]
 
 
-def test_pairwise_distances_identical_points():
-    assert np.array_equal(pairwise_distances([[3.0], [3.0]]), [0.0])
+def test_quantile_bandwidth_identical_pair_is_degenerate():
+    for q in (0.5, 1.0):
+        with pytest.raises(ValueError):
+            quantile_bandwidth([[3.0], [3.0]], q)
 
 
-def test_pairwise_distances_count():
+def test_quantile_bandwidth_extremes_and_single_point():
     rng = np.random.default_rng(0)
     for n in (2, 5, 9):
-        assert len(pairwise_distances(rng.standard_normal((n, 3)))) == n * (n - 1) // 2
+        X = rng.standard_normal((n, 3))
+        assert quantile_bandwidth(X, 1.0) == pdist(X).max()
+        assert quantile_bandwidth(X, 1e-6) == pdist(X).min()
     with pytest.raises(ValueError):
-        pairwise_distances([[0.0]])
+        quantile_bandwidth([[0.0]], 0.5)
 
 
 def test_quantile_bandwidth_by_hand():
@@ -131,6 +138,37 @@ def test_quantile_bandwidth_uses_the_percentile_rank():
     X = np.random.default_rng(4).standard_normal((30, 3))
     for q in (0.1, 0.25, 0.3, 0.5, 1.0):
         assert quantile_bandwidth(X, q) == percentile(pdist(X), q)
+
+
+@st.composite
+def tie_heavy_points(draw):
+    """Random, rounded or duplicate-heavy point sets, with a quantile."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, D = draw(st.integers(2, 40)), draw(st.integers(1, 3))
+    X = rng.standard_normal((n, D))
+    kind = draw(st.sampled_from(["random", "rounded", "duplicates"]))
+    if kind == "rounded":
+        X = np.round(X)
+    elif kind == "duplicates":
+        X = X[rng.integers(0, draw(st.integers(1, n)), n)]
+    q = draw(st.one_of(st.sampled_from([0.01, 0.25, 0.5, 1.0]),
+                       st.floats(1e-6, 1.0)))
+    return X, q
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(tie_heavy_points())
+def test_quantile_bandwidth_matches_percentile_or_smallest_positive(case):
+    X, q = case
+    dists = pdist(X)
+    expected = percentile(dists, q)
+    if expected == 0.0:
+        if not np.any(dists > 0):
+            with pytest.raises(ValueError):
+                quantile_bandwidth(X, q)
+            return
+        expected = dists[dists > 0].min()
+    assert quantile_bandwidth(X, q) == expected
 
 
 def test_percentile_reexported_by_flows():

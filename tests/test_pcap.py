@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocsketch.pcap import (
     CSV_HEADER,
@@ -181,3 +183,36 @@ def test_pcap_parse_deterministic():
     )
     assert parse_pcap(cap) == parse_pcap(cap)
     assert len(parse_pcap(cap)) == 3
+
+
+def snapped_capture(seed, n_packets=12):
+    """TCP and UDP frames cut to a 54-byte snap length, as perfbench/capture.py writes.
+
+    The IPv4 total length keeps each packet's size on the wire, so it exceeds
+    the captured frame, as in a real snap-length capture.
+    """
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(n_packets):
+        tcp = bool(rng.integers(2))
+        frame = ipv4_frame(sport=int(rng.integers(1024, 65536)), dport=5683,
+                           proto=6 if tcp else 17,
+                           total_length=int(rng.integers(40, 1400)),
+                           tcp_flags=int(rng.integers(0, 256)) if tcp else 0)[:54]
+        records.append(record_header(frame, i, int(rng.integers(0, 10**6))) + frame)
+    return global_header() + b"".join(records)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_damaged_capture_parses_or_raises_parse_error(seed, data):
+    cap = bytearray(snapped_capture(seed))
+    cut = data.draw(st.one_of(st.just(len(cap)), st.integers(0, len(cap))))
+    del cap[cut:]
+    for _ in range(data.draw(st.integers(0, 4)) if cap else 0):
+        cap[data.draw(st.integers(0, len(cap) - 1))] = data.draw(st.integers(0, 255))
+    try:
+        records = parse_pcap(bytes(cap))
+    except PcapParseError:
+        return
+    assert all(isinstance(r, PacketRecord) for r in records)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocsketch.evaluate import synth_blobs
 from ocsketch.quickshift import (
@@ -12,6 +14,10 @@ from ocsketch.quickshift import (
     quickshift_assign,
     select_components,
 )
+
+from oracles import cluster_cores_sweep, knn_table_argsort
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
 def two_blob_1d(seed=0, n_per=50, gap=100.0):
@@ -194,3 +200,48 @@ def test_qsconfig_defaults():
     assert cfg.coverage == 0.95
     assert cfg.max_clusters == 20
     assert cfg.k_neighbors is None  # resolved to ceil(n^(2/3)) at run time
+
+
+@st.composite
+def point_sets(draw):
+    """Blobs, rounded (tie-heavy) or duplicate-heavy point sets, with a k_n."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, D = draw(st.integers(3, 250)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["blobs", "rounded", "duplicates"]))
+    if kind == "blobs":
+        X, _ = synth_blobs(n, draw(st.integers(1, 4)), D, 6.0,
+                           seed=draw(st.integers(0, 1000)))
+    elif kind == "rounded":
+        X = np.round(2 * rng.standard_normal((n, D)))
+    else:
+        X = rng.standard_normal((n, D))[rng.integers(0, max(2, n // 8), n)]
+    default = min(int(np.ceil(n ** (2 / 3))), n - 1)
+    k_n = draw(st.one_of(st.just(default), st.integers(1, n - 1)))
+    return X, k_n
+
+
+@PROPERTY
+@given(point_sets())
+def test_knn_table_matches_argsort_oracle(case):
+    X, k_n = case
+    nbrs, radii = knn_table(X, k_n)
+    want_nbrs, want_radii = knn_table_argsort(X, k_n)
+    assert np.array_equal(nbrs, want_nbrs)
+    assert np.array_equal(radii, want_radii)
+
+
+@PROPERTY
+@given(point_sets(), st.sampled_from([0.5, 0.9, 0.99]))
+def test_cluster_cores_match_sweep_oracle(case, beta):
+    X, k_n = case
+    table = knn_table(X, k_n)
+    try:
+        dens = knn_log_density(X, k_n, table=table)
+    except ValueError:  # every point has k_n exact duplicates
+        return
+    cores = cluster_cores(X, dens, k_n, beta, table=table)
+    want = cluster_cores_sweep(dens, table[0], beta)
+    assert len(cores) == len(want)
+    for got, expected in zip(cores, want):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
