@@ -13,7 +13,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor
 
 from . import quickshift as qs_mod
 from .embedding import KJL, NYSTROM, EmbeddingModel, embed, fit_kjl, fit_nystrom
@@ -223,15 +222,10 @@ def deserialize(data):
     _require(np.all(pi >= 0) and abs(pi.sum() - 1) <= 1e-9,
              "weights pi must be >= 0 and sum to 1")
     mu = r.floats("means mu", k, d)
-    sigma = r.floats("covariances sigma", k, d, d)
-    for l in range(k):
-        try:
-            cho_factor(sigma[l], lower=True)
-        except LinAlgError as exc:
-            raise ValueError(f"covariance sigma[{l}] is not positive definite: {exc}") from None
+    mix = GmmModel(pi, mu, r.floats("covariances sigma", k, d, d))  # checks each sigma[l]
     threshold = None
     if r.remaining() >= 8:
         threshold = float(r.floats("threshold", 1)[0])
     _require(r.remaining() == 0, f"trailing bytes after payload: {r.remaining()}")
     emb = EmbeddingModel(_KIND_NAMES[kind_code], landmarks, P, h)
-    return DetectorModel(emb, GmmModel(pi, mu, sigma, reg=0.0), threshold)
+    return DetectorModel(emb, mix, threshold)

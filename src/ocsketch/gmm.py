@@ -3,19 +3,47 @@
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack
 from scipy.special import logsumexp
 
 
-@dataclass
+@dataclass(frozen=True)
 class GmmModel:
-    """Gaussian mixture: weights pi, means mu, full covariances sigma."""
+    """Gaussian mixture: weights pi, means mu, full covariances sigma.
+
+    Construction factors every covariance once and keeps what scoring needs,
+    so a model is frozen: build a new one instead of changing its arrays. A
+    covariance that is not positive definite raises ValueError naming it.
+    """
 
     pi: np.ndarray  # (k,)
     mu: np.ndarray  # (k, d)
     sigma: np.ndarray  # (k, d, d)
-    reg: float
     diagnostics: dict = field(default_factory=dict)
+    # Derived in __post_init__, never serialized:
+    _cho: list = field(init=False, repr=False, compare=False)  # cho_factor of each sigma[l]
+    _logdet: np.ndarray = field(init=False, repr=False, compare=False)  # (k,) log det sigma[l]
+    _inv_t: np.ndarray = field(init=False, repr=False, compare=False)  # (k, d, d) L_l^-T
+    _log_norm: np.ndarray = field(init=False, repr=False, compare=False)  # (k,)
+
+    def __post_init__(self):
+        k, d = self.mu.shape
+        cho, logdet, inv = [], np.empty(k), np.empty((k, d, d))
+        for l in range(k):
+            try:
+                factor = cho_factor(self.sigma[l], lower=True)
+            except LinAlgError as exc:
+                raise ValueError(f"covariance sigma[{l}] is not positive definite: {exc}") from None
+            cho.append(factor)
+            logdet[l] = 2.0 * np.sum(np.log(np.diag(factor[0])))
+            inv[l] = lapack.dtrtri(factor[0], lower=1)[0]  # L^-1; info is 0, L has no zero pivot
+        with np.errstate(divide="ignore"):  # zero-weight components
+            log_norm = np.log(self.pi) - 0.5 * (d * np.log(2 * np.pi) + logdet)
+        # cho_factor leaves sigma's entries above the diagonal, and so does dtrtri
+        inv_t = np.triu(inv.transpose(0, 2, 1))
+        derived = {"_cho": cho, "_logdet": logdet, "_inv_t": inv_t, "_log_norm": log_norm}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def k(self):
@@ -33,44 +61,50 @@ def default_reg(X):
     return 1e-6 * mean_var if mean_var > 0 else 1e-6
 
 
-def _component_log_densities(model, Z):
-    """Per-component Gaussian log densities, shape (n, k)."""
-    n, d = Z.shape
-    out = np.empty((n, model.k))
-    for l in range(model.k):
-        chol, lower = cho_factor(model.sigma[l], lower=True)
-        diff = (Z - model.mu[l]).T  # (d, n)
-        sol = cho_solve((chol, lower), diff)
-        maha = np.sum(diff * sol, axis=0)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        out[:, l] = -0.5 * (d * np.log(2 * np.pi) + logdet + maha)
-    return out
-
-
 def log_pdf(model, z):
     """Mixture log density log sum_l pi_l N(z; mu_l, sigma_l).
 
-    Computed with log-sum-exp, so it is finite for any finite z. Accepts a
-    single d-vector (returns float) or an (n, d) batch (returns (n,) array).
+    One stacked matmul whitens z against every component's cached inverse
+    Cholesky factor, then a max-shifted log-sum-exp combines the components.
+    The result is finite unless z lies ~1e154 or more (in whitened units) from
+    every mean, where each squared distance overflows and the density is
+    -inf. Accepts a single d-vector (returns float) or an (n, d) batch
+    (returns (n,) array); both take the same path.
     """
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
     Z = np.atleast_2d(z)
-    if not np.all(np.isfinite(Z)):
+    if not np.isfinite(Z).all():
         raise ValueError("non-finite input to log_pdf")
     if Z.shape[1] != model.d:
         raise ValueError(f"dimension mismatch: {Z.shape[1]} != {model.d}")
-    with np.errstate(divide="ignore"):  # zero-weight components
-        joint = _component_log_densities(model, Z) + np.log(model.pi)
-    vals = logsumexp(joint, axis=1)
+    # Centre on each mean before whitening: Z @ L^-T - mu @ L^-T would cancel
+    # digits for points near a mean that lies far from the origin.
+    Y = (Z[None, :, :] - model.mu[:, None, :]) @ model._inv_t  # (k, n, d)
+    with np.errstate(over="ignore", divide="ignore"):  # far from every mean: -inf
+        joint = model._log_norm[:, None] - 0.5 * np.square(Y).sum(axis=2)  # (k, n)
+        top = joint.max(axis=0)
+        top[np.isneginf(top)] = 0.0  # every term is 0, so the log of their sum is -inf
+        vals = np.log(np.exp(joint - top).sum(axis=0)) + top
     return float(vals[0]) if single else vals
 
 
 def e_step(model, X):
-    """Responsibilities (rows sum to 1) and the mean log-likelihood."""
+    """Responsibilities (rows sum to 1) and the mean log-likelihood.
+
+    Solves against each cached Cholesky factor instead of using log_pdf's
+    whitening, which rounds differently: EM's arithmetic, and so every fitted
+    model's bytes, stay as they were.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    n, d = X.shape
+    comp = np.empty((n, model.k))
+    for l in range(model.k):
+        diff = (X - model.mu[l]).T  # (d, n)
+        maha = np.sum(diff * cho_solve(model._cho[l], diff), axis=0)
+        comp[:, l] = -0.5 * (d * np.log(2 * np.pi) + model._logdet[l] + maha)
     with np.errstate(divide="ignore"):
-        joint = _component_log_densities(model, X) + np.log(model.pi)
+        joint = comp + np.log(model.pi)
     norm = logsumexp(joint, axis=1, keepdims=True)
     resp = np.exp(joint - norm)
     return resp, float(np.mean(norm))
@@ -104,7 +138,7 @@ def m_step(X, resp, reg):
         if healthy.size == 0:
             raise ValueError("all components collapsed")
         probe = GmmModel(pi[healthy] / pi[healthy].sum(), mu[healthy],
-                         sigma[healthy], reg)
+                         sigma[healthy])
         worst = int(np.argmin(log_pdf(probe, X)))
         global_cov = np.cov(X, rowvar=False, bias=True).reshape(d, d)
         for l in collapsed:
@@ -113,7 +147,7 @@ def m_step(X, resp, reg):
             pi[l] = 1.0 / n
         pi = pi / pi.sum()
 
-    model = GmmModel(pi, mu, sigma, reg)
+    model = GmmModel(pi, mu, sigma)
     if collapsed.size:
         model.diagnostics["reinitialized_components"] = collapsed.tolist()
     return model
@@ -139,7 +173,7 @@ def _init_model(X, k, init, reg, rng):
     if init is not None:
         pi, mu, sigma = init
         return GmmModel(np.array(pi, dtype=float), np.array(mu, dtype=float),
-                        np.array(sigma, dtype=float), reg)
+                        np.array(sigma, dtype=float))
     centers = _kmeanspp_centers(X, k, rng)
     assign = np.argmin(
         np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1

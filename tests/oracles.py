@@ -1,15 +1,18 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's own code paths: the QP oracle
-enumerates KKT partitions, the AUC oracle counts pairs, the density oracle
-sums Gaussians directly, the kNN oracle argsorts whole distance rows and the
-core oracle runs the union-find sweep over every kNN edge.
+enumerates KKT partitions, the AUC oracle counts pairs, the density oracles
+sum Gaussians directly or factor every covariance on every call, the kNN
+oracle argsorts whole distance rows and the core oracle runs the union-find
+sweep over every kNN edge.
 """
 
 import itertools
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
+from scipy.special import logsumexp
 
 
 def gaussian_gram(X, Y, h):
@@ -89,6 +92,28 @@ def naive_mixture_log_density(pi, mu, sigma, z):
         norm = np.sqrt((2 * np.pi) ** d * np.linalg.det(S))
         total += w * np.exp(-0.5 * quad) / norm
     return np.log(total)
+
+
+def log_pdf_cholesky(model, z):
+    """Mixture log density with cho_factor of every covariance on every call.
+
+    Per component: solve against the Cholesky factor for the Mahalanobis
+    term, log det from the factor's diagonal; then scipy's logsumexp over the
+    log-weighted components. Same signature and return type as gmm.log_pdf.
+    """
+    z = np.asarray(z, dtype=float)
+    Z = np.atleast_2d(z)
+    d = Z.shape[1]
+    comp = np.empty((len(Z), len(model.pi)))
+    for l in range(len(model.pi)):
+        chol, lower = cho_factor(model.sigma[l], lower=True)
+        diff = (Z - model.mu[l]).T
+        maha = np.sum(diff * cho_solve((chol, lower), diff), axis=0)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        comp[:, l] = -0.5 * (d * np.log(2 * np.pi) + logdet + maha)
+    with np.errstate(divide="ignore"):
+        vals = logsumexp(comp + np.log(model.pi), axis=1)
+    return float(vals[0]) if z.ndim == 1 else vals
 
 
 def nystrom_target_gram(K_II, K_IJ, d, eig_rtol=1e-12):

@@ -314,7 +314,7 @@ def _random_detector_model(rng):
                          float(rng.uniform(0.1, 5.0)))
     A = rng.standard_normal((k, d, d))
     mix = GmmModel(rng.dirichlet(np.ones(k)), rng.standard_normal((k, d)),
-                   A @ A.transpose(0, 2, 1) + np.eye(d), 1e-6)
+                   A @ A.transpose(0, 2, 1) + np.eye(d))
     threshold = float(rng.standard_normal()) if rng.integers(2) else None
     return DetectorModel(emb, mix, threshold)
 

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocsketch.gmm import (
     GmmModel,
@@ -10,11 +14,13 @@ from ocsketch.gmm import (
     m_step,
 )
 
-from oracles import naive_mixture_log_density
+from oracles import log_pdf_cholesky, naive_mixture_log_density
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 
 def standard_normal_model(d=2):
-    return GmmModel(np.array([1.0]), np.zeros((1, d)), np.eye(d)[None], 1e-6)
+    return GmmModel(np.array([1.0]), np.zeros((1, d)), np.eye(d)[None])
 
 
 def random_model(rng, k, d):
@@ -22,7 +28,7 @@ def random_model(rng, k, d):
     mu = rng.standard_normal((k, d))
     A = rng.standard_normal((k, d, d))
     sigma = A @ A.transpose(0, 2, 1) + 0.5 * np.eye(d)
-    return GmmModel(pi, mu, sigma, 0.0)
+    return GmmModel(pi, mu, sigma)
 
 
 def test_log_pdf_standard_normal():
@@ -34,7 +40,7 @@ def test_log_pdf_standard_normal():
 def test_log_pdf_duplicate_components():
     single = standard_normal_model()
     double = GmmModel(np.array([0.5, 0.5]), np.zeros((2, 2)),
-                      np.stack([np.eye(2)] * 2), 1e-6)
+                      np.stack([np.eye(2)] * 2))
     z = np.array([0.3, -1.2])
     assert log_pdf(double, z) == pytest.approx(log_pdf(single, z), abs=1e-12)
 
@@ -52,6 +58,16 @@ def test_log_pdf_finite_far_away():
     assert np.isfinite(log_pdf(model, np.array([1e3, 1e3])))
 
 
+def test_log_pdf_every_component_underflows_to_neg_inf():
+    model = GmmModel(np.array([0.5, 0.5]), np.array([[-1.0, 0.0], [1.0, 0.0]]),
+                     np.stack([np.eye(2)] * 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_pdf(model, np.array([1e160, 0.0])) == -np.inf
+        batch = log_pdf(model, np.array([[0.0, 0.0], [1e160, 0.0]]))
+    assert np.isfinite(batch[0]) and batch[1] == -np.inf
+
+
 def test_log_pdf_rejects_non_finite():
     with pytest.raises(ValueError):
         log_pdf(standard_normal_model(), np.array([np.nan, 0.0]))
@@ -67,7 +83,7 @@ def test_e_step_single_component():
 def test_e_step_symmetric_point():
     model = GmmModel(np.array([0.5, 0.5]),
                      np.array([[-1.0, 0.0], [1.0, 0.0]]),
-                     np.stack([np.eye(2)] * 2), 1e-6)
+                     np.stack([np.eye(2)] * 2))
     resp, _ = e_step(model, np.array([[0.0, 5.0]]))
     assert resp[0, 0] == pytest.approx(0.5, abs=1e-12)
 
@@ -185,7 +201,7 @@ def test_log_pdf_component_permutation_invariant():
     rng = np.random.default_rng(11)
     model = random_model(rng, 3, 2)
     perm = [2, 0, 1]
-    permuted = GmmModel(model.pi[perm], model.mu[perm], model.sigma[perm], 0.0)
+    permuted = GmmModel(model.pi[perm], model.mu[perm], model.sigma[perm])
     z = rng.standard_normal(2)
     assert log_pdf(model, z) == pytest.approx(log_pdf(permuted, z), abs=1e-12)
 
@@ -199,9 +215,62 @@ def test_fit_covariances_respect_ridge_floor():
     assert model.pi.sum() == pytest.approx(1.0, abs=1e-12)
     for S in model.sigma:
         assert np.allclose(S, S.T, atol=0)
-        assert np.linalg.eigvalsh(S).min() >= model.reg * (1 - 1e-9)
+        assert np.linalg.eigvalsh(S).min() >= default_reg(X) * (1 - 1e-9)
 
 
 def test_fit_k_exceeds_n():
     with pytest.raises(ValueError):
         fit_em(np.zeros((3, 2)), 4)
+
+
+@st.composite
+def mixtures_and_points(draw):
+    """k in 1..6, d in 1..8, covariances up to condition 1e8, some weights 0,
+    and 1..20 points up to 1e3 from a mean."""
+    k, d = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    log_cond = draw(st.floats(0.0, 8.0))
+    sigma = np.empty((k, d, d))
+    for l in range(k):
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        eig = 10.0 ** rng.uniform(-2, 2) * np.logspace(0, -log_cond, d)
+        S = (Q * eig) @ Q.T
+        sigma[l] = (S + S.T) / 2
+    pi = rng.dirichlet(np.ones(k))
+    dead = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    dead[rng.integers(k)] = False
+    pi[dead] = 0.0
+    mu = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-1, 1)
+    n = draw(st.integers(1, 20))
+    u = rng.standard_normal((n, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    Z = mu[rng.integers(k, size=n)] + u * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    return GmmModel(pi / pi.sum(), mu, sigma), Z, rng
+
+
+def _relative_error(actual, expected):
+    return np.abs(actual - expected) / np.maximum(1.0, np.abs(expected))
+
+
+@PROPERTY
+@given(mixtures_and_points())
+def test_log_pdf_matches_cholesky_oracle(case):
+    model, Z, _ = case
+    assert _relative_error(log_pdf(model, Z), log_pdf_cholesky(model, Z)).max() <= 1e-10
+
+
+@PROPERTY
+@given(mixtures_and_points())
+def test_log_pdf_batch_follows_row_order(case):
+    model, Z, rng = case
+    perm = rng.permutation(len(Z))
+    assert _relative_error(log_pdf(model, Z[perm]), log_pdf(model, Z)[perm]).max() <= 1e-12
+
+
+@PROPERTY
+@given(mixtures_and_points())
+def test_log_pdf_single_point_equals_batch_row(case):
+    model, Z, _ = case
+    batch = log_pdf(model, Z)
+    single = np.array([log_pdf(model, z) for z in Z])
+    assert _relative_error(single, batch).max() <= 1e-12

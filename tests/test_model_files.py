@@ -34,7 +34,7 @@ def detector_model(rng, m, d, D, k, with_threshold):
                          float(rng.uniform(0.1, 5.0)))
     A = rng.standard_normal((k, d, d))
     mix = GmmModel(rng.dirichlet(np.ones(k)), rng.standard_normal((k, d)),
-                   A @ A.transpose(0, 2, 1) + np.eye(d), 1e-6)
+                   A @ A.transpose(0, 2, 1) + np.eye(d))
     threshold = float(rng.standard_normal()) if with_threshold else None
     return DetectorModel(emb, mix, threshold)
 
