@@ -9,6 +9,7 @@ Run: python3 demos/02_automatic_components.py
 import numpy as np
 
 from ocsketch.evaluate import synth_blobs
+from ocsketch.gmm import fit_em
 from ocsketch.quickshift import QsConfig, auto_k
 
 # three well-separated modes of "normal" activity
@@ -18,15 +19,18 @@ print(f"dataset: {len(X)} points drawn from 3 blobs, 10 sigma apart")
 clustering = auto_k(X)
 print(f"\nauto_k found k = {clustering.k} clusters:")
 true_centers = np.array([X[truth == i].mean(axis=0) for i in range(3)])
-for c in clustering.clusters:
-    nearest = np.min(np.linalg.norm(true_centers - c.mean, axis=1))
-    print(f"  size {c.size:4d}  weight {c.weight:.3f}  "
+for l in range(clustering.k):
+    members = X[clustering.labels == l]
+    nearest = np.min(np.linalg.norm(true_centers - members.mean(axis=0), axis=1))
+    print(f"  size {len(members):4d}  weight {len(members) / len(X):.3f}  "
           f"mean within {nearest:.3f} sigma of a true center")
 
-# the cluster summaries seed the mixture fit directly
-pi, mu, sigma = clustering.gmm_init()
-print(f"\nGMM init: pi = {np.round(pi, 3)}, means shape {mu.shape}, "
-      f"covariances shape {sigma.shape}")
+# the retained labels seed the mixture fit directly: EM starts from each
+# cluster's weight, mean and covariance (unretained points are left out)
+model = fit_em(X, clustering.k, init=clustering.labels, seed=0)
+print(f"\nGMM after {len(model.diagnostics['loglik_history'])} EM steps: "
+      f"pi = {np.round(model.pi, 3)}, means shape {model.mu.shape}, "
+      f"covariances shape {model.sigma.shape}")
 
 # beta controls how persistent a density mode must be to count as a cluster;
 # higher beta prunes harder, so the count can only go down

@@ -37,7 +37,10 @@ def write_feature_csv(path, matrix, labels=None):
 
 
 def read_feature_csv(path):
-    """Returns (ids, X, labels-or-None) from a feature CSV."""
+    """Returns (ids, X, labels-or-None) from a feature CSV.
+
+    A non-finite feature raises ValueError naming its line and column.
+    """
     with open(path) as f:
         header = f.readline().rstrip("\n").split(",")
         if not header or header[0] != "flow_id":
@@ -52,6 +55,11 @@ def read_feature_csv(path):
                 labels.append(parts[1])
             rows.append([float(v) for v in parts[start:]])
     X = np.array(rows) if rows else np.empty((0, len(header) - start))
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"{path}: line {row + 2}, column {header[start + col]}: "
+                         f"non-finite value {X[row, col]}")
     return ids, X, (labels if has_label else None)
 
 

@@ -71,7 +71,7 @@ def train_detector(X_normal, config):
     Z = embed(emb, X)
     if config.k == AUTO:
         clustering = qs_mod.auto_k(Z, config.qs)
-        model = fit_em(Z, clustering.k, init=clustering.gmm_init(), seed=config.seed)
+        model = fit_em(Z, clustering.k, init=clustering.labels, seed=config.seed)
     else:
         model = fit_em(Z, int(config.k), seed=config.seed)
     return DetectorModel(emb, model)

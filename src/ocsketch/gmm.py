@@ -3,8 +3,7 @@
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack
-from scipy.special import logsumexp
+from scipy.linalg import LinAlgError, cho_factor, lapack
 
 
 @dataclass(frozen=True)
@@ -21,29 +20,24 @@ class GmmModel:
     sigma: np.ndarray  # (k, d, d)
     diagnostics: dict = field(default_factory=dict)
     # Derived in __post_init__, never serialized:
-    _cho: list = field(init=False, repr=False, compare=False)  # cho_factor of each sigma[l]
-    _logdet: np.ndarray = field(init=False, repr=False, compare=False)  # (k,) log det sigma[l]
     _inv_t: np.ndarray = field(init=False, repr=False, compare=False)  # (k, d, d) L_l^-T
     _log_norm: np.ndarray = field(init=False, repr=False, compare=False)  # (k,)
 
     def __post_init__(self):
         k, d = self.mu.shape
-        cho, logdet, inv = [], np.empty(k), np.empty((k, d, d))
+        logdet, inv = np.empty(k), np.empty((k, d, d))
         for l in range(k):
             try:
                 factor = cho_factor(self.sigma[l], lower=True)
             except LinAlgError as exc:
                 raise ValueError(f"covariance sigma[{l}] is not positive definite: {exc}") from None
-            cho.append(factor)
             logdet[l] = 2.0 * np.sum(np.log(np.diag(factor[0])))
             inv[l] = lapack.dtrtri(factor[0], lower=1)[0]  # L^-1; info is 0, L has no zero pivot
         with np.errstate(divide="ignore"):  # zero-weight components
             log_norm = np.log(self.pi) - 0.5 * (d * np.log(2 * np.pi) + logdet)
         # cho_factor leaves sigma's entries above the diagonal, and so does dtrtri
-        inv_t = np.triu(inv.transpose(0, 2, 1))
-        derived = {"_cho": cho, "_logdet": logdet, "_inv_t": inv_t, "_log_norm": log_norm}
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_inv_t", np.triu(inv.transpose(0, 2, 1)))
+        object.__setattr__(self, "_log_norm", log_norm)
 
     @property
     def k(self):
@@ -61,15 +55,31 @@ def default_reg(X):
     return 1e-6 * mean_var if mean_var > 0 else 1e-6
 
 
+def _log_terms(model, Z):
+    """(k, n) joint terms log pi_l + log N(z; mu_l, sigma_l) and their (n,)
+    log-sum-exp over components.
+
+    One stacked matmul whitens Z against every component's cached inverse
+    Cholesky factor, then a max-shifted log-sum-exp combines the components.
+    The log-sum-exp is finite unless a point lies ~1e154 or more (in whitened
+    units) from every mean, where each squared distance overflows and it is
+    -inf.
+    """
+    # Centre on each mean before whitening: Z @ L^-T - mu @ L^-T would cancel
+    # digits for points near a mean that lies far from the origin.
+    Y = (Z[None, :, :] - model.mu[:, None, :]) @ model._inv_t  # (k, n, d)
+    with np.errstate(over="ignore", divide="ignore"):  # far from every mean: -inf
+        joint = model._log_norm[:, None] - 0.5 * np.square(Y).sum(axis=2)  # (k, n)
+        top = joint.max(axis=0)
+        top[np.isneginf(top)] = 0.0  # every term is 0, so the log of their sum is -inf
+        return joint, np.log(np.exp(joint - top).sum(axis=0)) + top
+
+
 def log_pdf(model, z):
     """Mixture log density log sum_l pi_l N(z; mu_l, sigma_l).
 
-    One stacked matmul whitens z against every component's cached inverse
-    Cholesky factor, then a max-shifted log-sum-exp combines the components.
-    The result is finite unless z lies ~1e154 or more (in whitened units) from
-    every mean, where each squared distance overflows and the density is
-    -inf. Accepts a single d-vector (returns float) or an (n, d) batch
-    (returns (n,) array); both take the same path.
+    Accepts a single d-vector (returns float) or an (n, d) batch (returns
+    (n,) array); both take the same path, the one EM's e_step takes.
     """
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
@@ -78,36 +88,14 @@ def log_pdf(model, z):
         raise ValueError("non-finite input to log_pdf")
     if Z.shape[1] != model.d:
         raise ValueError(f"dimension mismatch: {Z.shape[1]} != {model.d}")
-    # Centre on each mean before whitening: Z @ L^-T - mu @ L^-T would cancel
-    # digits for points near a mean that lies far from the origin.
-    Y = (Z[None, :, :] - model.mu[:, None, :]) @ model._inv_t  # (k, n, d)
-    with np.errstate(over="ignore", divide="ignore"):  # far from every mean: -inf
-        joint = model._log_norm[:, None] - 0.5 * np.square(Y).sum(axis=2)  # (k, n)
-        top = joint.max(axis=0)
-        top[np.isneginf(top)] = 0.0  # every term is 0, so the log of their sum is -inf
-        vals = np.log(np.exp(joint - top).sum(axis=0)) + top
+    vals = _log_terms(model, Z)[1]
     return float(vals[0]) if single else vals
 
 
 def e_step(model, X):
-    """Responsibilities (rows sum to 1) and the mean log-likelihood.
-
-    Solves against each cached Cholesky factor instead of using log_pdf's
-    whitening, which rounds differently: EM's arithmetic, and so every fitted
-    model's bytes, stay as they were.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, d = X.shape
-    comp = np.empty((n, model.k))
-    for l in range(model.k):
-        diff = (X - model.mu[l]).T  # (d, n)
-        maha = np.sum(diff * cho_solve(model._cho[l], diff), axis=0)
-        comp[:, l] = -0.5 * (d * np.log(2 * np.pi) + model._logdet[l] + maha)
-    with np.errstate(divide="ignore"):
-        joint = comp + np.log(model.pi)
-    norm = logsumexp(joint, axis=1, keepdims=True)
-    resp = np.exp(joint - norm)
-    return resp, float(np.mean(norm))
+    """Responsibilities (n, k), rows summing to 1, and the mean log-likelihood."""
+    joint, vals = _log_terms(model, np.atleast_2d(np.asarray(X, dtype=float)))
+    return np.exp(joint - vals).T, float(np.mean(vals))
 
 
 def m_step(X, resp, reg):
@@ -169,41 +157,44 @@ def _kmeanspp_centers(X, k, rng):
     return np.array(centers)
 
 
-def _init_model(X, k, init, reg, rng):
-    if init is not None:
-        pi, mu, sigma = init
-        return GmmModel(np.array(pi, dtype=float), np.array(mu, dtype=float),
-                        np.array(sigma, dtype=float))
-    centers = _kmeanspp_centers(X, k, rng)
-    assign = np.argmin(
-        np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1
-    )
+def _init_model(X, k, labels, reg, rng):
+    """m_step on a one-hot assignment: cluster labels (rows labelled below 0
+    are left out) or, without labels, each row's nearest k-means++ center."""
+    if labels is None:
+        centers = _kmeanspp_centers(X, k, rng)
+        labels = np.argmin(
+            np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1
+        )
+        # guarantee every component owns at least its own center point
+        for l in range(k):
+            if not np.any(labels == l):
+                labels[np.argmin(np.sum((X - centers[l]) ** 2, axis=1))] = l
+    else:
+        labels = np.asarray(labels)
+        if labels.shape != (X.shape[0],) or labels.max() >= k:
+            raise ValueError(f"init needs one label below k={k} per row of X")
+        X, labels = X[labels >= 0], labels[labels >= 0]
     resp = np.zeros((X.shape[0], k))
-    resp[np.arange(X.shape[0]), assign] = 1.0
-    # guarantee every component owns at least its own center point
-    for l in range(k):
-        if resp[:, l].sum() == 0:
-            nearest = int(np.argmin(np.sum((X - centers[l]) ** 2, axis=1)))
-            resp[nearest] = 0.0
-            resp[nearest, l] = 1.0
+    resp[np.arange(X.shape[0]), labels] = 1.0
     return m_step(X, resp, reg)
 
 
-def fit_em(X, k, init=None, tol=1e-4, max_iter=200, seed=None, reg=None):
+def fit_em(X, k, init=None, tol=1e-4, max_iter=200, seed=None):
     """Fit a k-component full-covariance GMM by EM.
+
+    Every covariance carries the ridge default_reg(X).
 
     Parameters
     ----------
     X : array-like, shape (n, d)
     k : int, k <= n
-    init : optional (pi, mu, sigma) triple, e.g. from mode-seeking clustering;
-        when absent, k-means++ seeding (seeded) is used.
+    init : optional (n,) cluster labels 0..k-1, negative (NOISE) for rows
+        left out of the initial mixture, e.g. quickshift.auto_k's; when
+        absent, k-means++ seeding (seeded) is used.
     tol : float
         Stop when the mean log-likelihood improves by less than tol.
     max_iter : int
     seed : int or None
-    reg : float or None
-        Covariance ridge; defaults to 1e-6 times the mean data variance.
 
     Returns
     -------
@@ -213,8 +204,7 @@ def fit_em(X, k, init=None, tol=1e-4, max_iter=200, seed=None, reg=None):
     n = X.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
-    if reg is None:
-        reg = default_reg(X)
+    reg = default_reg(X)
     rng = np.random.default_rng(seed)
     model = _init_model(X, k, init, reg, rng)
 

@@ -172,11 +172,12 @@ def score(model, x):
     """Decision score f(x) - rho; novel iff negative at the default threshold.
 
     Accepts a single D-vector (returns float) or an (n, D) batch
-    (returns (n,) array).
+    (returns (n,) array). A non-finite entry raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     Xq = np.atleast_2d(x)
+    require_finite(Xq)
     if Xq.shape[1] != model.support_vectors.shape[1]:
         raise ValueError(
             f"dimension mismatch: {Xq.shape[1]} != {model.support_vectors.shape[1]}"

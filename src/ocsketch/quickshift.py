@@ -28,31 +28,11 @@ class QsConfig:
 
 
 @dataclass
-class ClusterSummary:
-    size: int
-    mean: np.ndarray
-    covariance: np.ndarray
-    weight: float  # member fraction of the full dataset
-
-
-@dataclass
 class Clustering:
-    """Per-point labels (NOISE for dropped clusters) plus retained summaries."""
+    """Per-point labels 0..k-1 for retained clusters, NOISE for the rest."""
 
     labels: np.ndarray
-    clusters: list
-
-    @property
-    def k(self):
-        return len(self.clusters)
-
-    def gmm_init(self):
-        """(pi, mu, sigma) triple, pi renormalized over retained clusters."""
-        sizes = np.array([c.size for c in self.clusters], dtype=float)
-        pi = sizes / sizes.sum()
-        mu = np.array([c.mean for c in self.clusters])
-        sigma = np.array([c.covariance for c in self.clusters])
-        return pi, mu, sigma
+    k: int
 
 
 def knn_table(X, k_n):
@@ -234,17 +214,15 @@ def quickshift_assign(X, densities, cores, k_n, table=None):
     return labels
 
 
-def select_components(labels, X, coverage=0.95, cap=20):
+def select_components(labels, coverage=0.95, cap=20):
     """Retain the largest clusters covering the requested data fraction.
 
     Clusters are sorted by size (descending, ties by label); the shortest
     prefix reaching coverage * n is kept, capped at `cap`. Retained clusters
-    are relabeled 0..k-1; everything else becomes NOISE. Each retained
-    cluster carries its member mean and ridged population covariance.
+    are relabeled 0..k-1; everything else becomes NOISE.
     """
     labels = np.asarray(labels)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, d = X.shape
+    n = labels.shape[0]
     ids = [c for c in np.unique(labels) if c != NOISE]
     if not ids:
         raise ValueError("no clusters to select from")
@@ -259,29 +237,17 @@ def select_components(labels, X, coverage=0.95, cap=20):
         retained.append(c)
         covered += sizes[c]
 
-    global_cov = np.cov(X, rowvar=False, bias=True).reshape(d, d)
-    ridge = 1e-6 * np.trace(global_cov) / d * np.eye(d)
     new_labels = np.full(n, NOISE, dtype=np.int64)
-    clusters = []
     for new_id, c in enumerate(retained):
-        members = labels == c
-        new_labels[members] = new_id
-        pts = X[members]
-        cov = np.cov(pts, rowvar=False, bias=True).reshape(d, d) if len(pts) > 1 \
-            else np.zeros((d, d))
-        clusters.append(ClusterSummary(
-            size=sizes[c],
-            mean=pts.mean(axis=0),
-            covariance=cov + ridge,
-            weight=sizes[c] / n,
-        ))
-    return Clustering(new_labels, clusters)
+        new_labels[labels == c] = new_id
+    return Clustering(new_labels, len(retained))
 
 
 def auto_k(X, config=None):
     """Full pipeline: density -> cores -> assignment -> retention.
 
-    Returns a Clustering; its .k and .gmm_init() seed the mixture fit.
+    Returns a Clustering; gmm.fit_em(X, k, init=labels) seeds the mixture
+    with the retained clusters' moments.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
@@ -296,4 +262,4 @@ def auto_k(X, config=None):
     dens = knn_log_density(X, k_n, table=table)
     cores = cluster_cores(X, dens, k_n, config.beta, table=table)
     labels = quickshift_assign(X, dens, cores, k_n, table=table)
-    return select_components(labels, X, config.coverage, config.max_clusters)
+    return select_components(labels, config.coverage, config.max_clusters)

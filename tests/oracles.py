@@ -94,26 +94,36 @@ def naive_mixture_log_density(pi, mu, sigma, z):
     return np.log(total)
 
 
-def log_pdf_cholesky(model, z):
-    """Mixture log density with cho_factor of every covariance on every call.
-
-    Per component: solve against the Cholesky factor for the Mahalanobis
-    term, log det from the factor's diagonal; then scipy's logsumexp over the
-    log-weighted components. Same signature and return type as gmm.log_pdf.
-    """
-    z = np.asarray(z, dtype=float)
-    Z = np.atleast_2d(z)
-    d = Z.shape[1]
-    comp = np.empty((len(Z), len(model.pi)))
+def _cholesky_log_terms(model, X):
+    """(n, k) terms log pi_l + log N(x; mu_l, sigma_l), with cho_factor of
+    every covariance on every call: solve against the Cholesky factor for the
+    Mahalanobis term, log det from the factor's diagonal."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    n, d = X.shape
+    comp = np.empty((n, len(model.pi)))
     for l in range(len(model.pi)):
         chol, lower = cho_factor(model.sigma[l], lower=True)
-        diff = (Z - model.mu[l]).T
+        diff = (X - model.mu[l]).T  # (d, n)
         maha = np.sum(diff * cho_solve((chol, lower), diff), axis=0)
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
         comp[:, l] = -0.5 * (d * np.log(2 * np.pi) + logdet + maha)
     with np.errstate(divide="ignore"):
-        vals = logsumexp(comp + np.log(model.pi), axis=1)
-    return float(vals[0]) if z.ndim == 1 else vals
+        return comp + np.log(model.pi)
+
+
+def log_pdf_cholesky(model, z):
+    """Mixture log density: scipy's logsumexp over _cholesky_log_terms.
+    Same signature and return type as gmm.log_pdf."""
+    vals = logsumexp(_cholesky_log_terms(model, z), axis=1)
+    return float(vals[0]) if np.ndim(z) == 1 else vals
+
+
+def e_step_cholesky(model, X):
+    """EM responsibilities and mean log-likelihood from _cholesky_log_terms
+    and scipy's logsumexp. Same signature and return values as gmm.e_step."""
+    joint = _cholesky_log_terms(model, X)
+    norm = logsumexp(joint, axis=1, keepdims=True)
+    return np.exp(joint - norm), float(np.mean(norm))
 
 
 def nystrom_target_gram(K_II, K_IJ, d, eig_rtol=1e-12):

@@ -174,3 +174,29 @@ def test_detect_zero_fpr_flags_nothing(tmp_path):
                  "--threshold-fpr", "0", "--out", str(scores_path)]) == 0
     rows = scores_path.read_text().strip().split("\n")[1:]
     assert all(r.split(",")[2] == "NORMAL" for r in rows)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_read_feature_csv_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "f.csv"
+    path.write_text(f"flow_id,label,f0,f1\na,0,1.0,2.0\nb,1,3.0,{bad}\n")
+    with pytest.raises(ValueError, match="line 3, column f1"):
+        read_feature_csv(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_detect_rejects_non_finite_features(tmp_path, capsys, bad):
+    npath, _ = synth_pools(tmp_path)
+    model_path = tmp_path / "ocsvm.bin"
+    assert main(["train", "--features", str(npath), "--kind", "ocsvm",
+                 "--seed", "0", "--out", str(model_path)]) == 0
+    lines = npath.read_text().split("\n")
+    row = lines[5].split(",")
+    lines[5] = ",".join(row[:-1] + [bad])
+    bad_path = tmp_path / "bad.csv"
+    bad_path.write_text("\n".join(lines))
+    scores_path = tmp_path / "scores.csv"
+    assert main(["detect", "--model", str(model_path), "--features", str(bad_path),
+                 "--threshold-fpr", "0.1", "--out", str(scores_path)]) == 1
+    assert "line 6, column f1" in capsys.readouterr().err
+    assert not scores_path.exists()

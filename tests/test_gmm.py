@@ -14,7 +14,7 @@ from ocsketch.gmm import (
     m_step,
 )
 
-from oracles import log_pdf_cholesky, naive_mixture_log_density
+from oracles import e_step_cholesky, log_pdf_cholesky, naive_mixture_log_density
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -177,11 +177,17 @@ def test_fit_with_init_params():
     rng = np.random.default_rng(9)
     X = np.vstack([rng.standard_normal((100, 2)),
                    rng.standard_normal((100, 2)) + 10.0])
-    init = (np.array([0.5, 0.5]),
-            np.array([[0.5, 0.5], [9.5, 9.5]]),
-            np.stack([np.eye(2)] * 2))
+    init = np.repeat([0, 1], 100)
+    init[[0, 100]] = -1  # left out of the initial mixture
     model = fit_em(X, 2, init=init, seed=0)
     assert sorted(np.round(model.mu[:, 0])) == [0, 10]
+
+
+def test_fit_rejects_bad_init_labels():
+    X = np.random.default_rng(9).standard_normal((10, 2))
+    for labels in (np.zeros(9, dtype=int), np.repeat([0, 2], 5)):
+        with pytest.raises(ValueError, match="one label below k=2"):
+            fit_em(X, 2, init=labels)
 
 
 def test_fit_translation_equivariance():
@@ -274,3 +280,13 @@ def test_log_pdf_single_point_equals_batch_row(case):
     batch = log_pdf(model, Z)
     single = np.array([log_pdf(model, z) for z in Z])
     assert _relative_error(single, batch).max() <= 1e-12
+
+
+@PROPERTY
+@given(mixtures_and_points())
+def test_e_step_matches_cholesky_oracle(case):
+    model, Z, _ = case
+    resp, loglik = e_step(model, Z)
+    resp_ref, loglik_ref = e_step_cholesky(model, Z)
+    assert np.abs(resp - resp_ref).max() <= 1e-10
+    assert _relative_error(loglik, loglik_ref) <= 1e-10

@@ -121,6 +121,18 @@ def test_score_dimension_mismatch():
         score(model, np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_score_rejects_non_finite(bad):
+    rng = np.random.default_rng(8)
+    model = train_ocsvm(rng.standard_normal((20, 2)), 1.0, seed=0)
+    Q = rng.standard_normal((5, 2))
+    Q[3, 1] = bad
+    with pytest.raises(ValueError, match="row 3, column 1"):
+        score(model, Q)
+    with pytest.raises(ValueError, match="non-finite"):
+        score(model, Q[3])
+
+
 def test_eval_budget_returns_flagged_iterate():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((100, 2))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocsketch.evaluate import synth_blobs
+from ocsketch.gmm import default_reg, fit_em
 from ocsketch.quickshift import (
     NOISE,
     QsConfig,
@@ -131,46 +132,45 @@ def test_assign_single_hop_to_adjacent_core():
 def test_select_components_prefix_by_hand():
     # sizes {960, 30, 10}: the 960 cluster alone covers 95% of n=1000
     labels = np.array([0] * 960 + [1] * 30 + [2] * 10)
-    rng = np.random.default_rng(4)
-    X = rng.standard_normal((1000, 2))
-    clustering = select_components(labels, X, coverage=0.95, cap=20)
+    clustering = select_components(labels, coverage=0.95, cap=20)
     assert clustering.k == 1
-    assert clustering.clusters[0].size == 960
+    assert np.sum(clustering.labels == 0) == 960
     assert np.sum(clustering.labels == NOISE) == 40
 
 
 def test_select_components_even_split():
     labels = np.array([0] * 500 + [1] * 500)
-    X = np.random.default_rng(5).standard_normal((1000, 3))
-    assert select_components(labels, X).k == 2
+    assert select_components(labels).k == 2
 
 
 def test_select_components_cap():
     labels = np.repeat(np.arange(25), 10)
-    X = np.random.default_rng(6).standard_normal((250, 2))
-    clustering = select_components(labels, X, coverage=0.95, cap=20)
+    clustering = select_components(labels, coverage=0.95, cap=20)
     assert clustering.k == 20
 
 
-def test_select_components_init_weights_normalized():
+def test_select_components_labels_seed_em_moments():
+    # coverage 0.85 keeps the 60 and 30 clusters; the 10 rows of label 2 are NOISE
     labels = np.array([0] * 60 + [1] * 30 + [2] * 10)
     X = np.random.default_rng(7).standard_normal((100, 2))
-    clustering = select_components(labels, X, coverage=0.85, cap=20)
-    pi, mu, sigma = clustering.gmm_init()
-    assert pi.sum() == pytest.approx(1.0, abs=1e-12)
-    assert mu.shape == (clustering.k, 2)
-    for S in sigma:
-        assert np.array_equal(S, S.T)
-        assert np.linalg.eigvalsh(S).min() > 0
+    clustering = select_components(labels, coverage=0.85, cap=20)
+    assert clustering.k == 2
+    model = fit_em(X, clustering.k, init=clustering.labels, max_iter=0)
+    assert np.allclose(model.pi, [60 / 90, 30 / 90], rtol=0, atol=1e-15)
+    for l, rows in enumerate((slice(0, 60), slice(60, 90))):
+        pts = X[rows]
+        assert np.allclose(model.mu[l], pts.mean(axis=0), rtol=0, atol=1e-14)
+        cov = np.cov(pts, rowvar=False, bias=True) + default_reg(X) * np.eye(2)
+        assert np.allclose(model.sigma[l], cov, rtol=0, atol=1e-14)
 
 
 def test_auto_k_three_blobs():
     X, y = synth_blobs(900, 3, 2, 10.0, seed=12)
     clustering = auto_k(X)
     assert clustering.k == 3
-    _, mu, _ = clustering.gmm_init()
     centers = np.array([X[y == i].mean(axis=0) for i in range(3)])
-    for m in mu:
+    for l in range(clustering.k):
+        m = X[clustering.labels == l].mean(axis=0)
         assert np.min(np.linalg.norm(centers - m, axis=1)) < 0.5
 
 
