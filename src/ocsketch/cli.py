@@ -39,7 +39,9 @@ def write_feature_csv(path, matrix, labels=None):
 def read_feature_csv(path):
     """Returns (ids, X, labels-or-None) from a feature CSV.
 
-    A non-finite feature raises ValueError naming its line and column.
+    A row whose field count differs from the header's raises ValueError
+    naming its line; a feature that is not a finite number also names its
+    column.
     """
     with open(path) as f:
         header = f.readline().rstrip("\n").split(",")
@@ -48,19 +50,32 @@ def read_feature_csv(path):
         has_label = len(header) > 1 and header[1] == "label"
         start = 2 if has_label else 1
         ids, labels, rows = [], [], []
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             parts = line.rstrip("\n").split(",")
+            if len(parts) != len(header):
+                raise ValueError(f"{path}: line {lineno}: expected {len(header)} fields, "
+                                 f"got {len(parts)}")
             ids.append(parts[0])
             if has_label:
                 labels.append(parts[1])
-            rows.append([float(v) for v in parts[start:]])
-    X = np.array(rows) if rows else np.empty((0, len(header) - start))
+            rows.append(_feature_row(parts[start:], header[start:], f"{path}: line {lineno}"))
+    X = np.array(rows, dtype=float).reshape(len(rows), len(header) - start)
     bad = np.argwhere(~np.isfinite(X))
     if bad.size:
         row, col = bad[0]
         raise ValueError(f"{path}: line {row + 2}, column {header[start + col]}: "
                          f"non-finite value {X[row, col]}")
     return ids, X, (labels if has_label else None)
+
+
+def _feature_row(cells, names, where):
+    row = []
+    for name, cell in zip(names, cells):
+        try:
+            row.append(float(cell))
+        except ValueError:
+            raise ValueError(f"{where}, column {name}: not a number: {cell!r}") from None
+    return row
 
 
 def _cmd_featurize(args):

@@ -78,7 +78,10 @@ def train_detector(X_normal, config):
 
 
 def detect_scores(model, X):
-    """Batch log-density scores; higher = more normal."""
+    """Batch log-density scores; higher = more normal.
+
+    A non-finite entry of X raises ValueError naming its row and column.
+    """
     return log_pdf(model.gmm, embed(model.embedding, X))
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import gram
+from .kernel import gram, require_finite
 
 NYSTROM = "nystrom"
 KJL = "kjl"
@@ -117,11 +117,18 @@ def embed(model, X):
     Returns
     -------
     ndarray, shape (n, d) (a single vector comes back as (1, d)).
+
+    Raises
+    ------
+    ValueError
+        On a dimension mismatch, or naming the row and column of the first
+        non-finite entry of X.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.input_dim:
         raise ValueError(
             f"input dim {X.shape[1]} != landmark dim {model.input_dim}"
         )
+    require_finite(X)
     K = gram(X, model.landmarks, model.h)
     return K @ model.P.T

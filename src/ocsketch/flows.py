@@ -27,6 +27,8 @@ TCP_FLAG_BITS = (
     ("ACK", 0x10), ("URG", 0x20), ("ECE", 0x40), ("CWR", 0x80),
 )
 
+_FLAG_MASKS = np.array([bit for _name, bit in TCP_FLAG_BITS])
+
 STATS_HEADER_DIM = 19
 
 
@@ -71,10 +73,7 @@ def canonical_key(record: PacketRecord):
     """Direction-independent 5-tuple: endpoints ordered lexicographically."""
     a = (_ip_key(record.src_ip), record.src_port, record.src_ip)
     b = (_ip_key(record.dst_ip), record.dst_port, record.dst_ip)
-    if a[:2] <= b[:2]:
-        lo, hi = a, b
-    else:
-        lo, hi = b, a
+    lo, hi = (a, b) if a[:2] <= b[:2] else (b, a)
     return (lo[2], lo[1], hi[2], hi[1], record.proto)
 
 
@@ -84,17 +83,15 @@ def assemble_flows(records):
     Flows are emitted in order of their first packet; within a flow the
     original order is kept on timestamp ties (stable sort).
     """
-    flows = {}
-    order = []
+    flows = {}  # insertion order is first-packet order
     for rec in records:
         key = canonical_key(rec)
         if key not in flows:
             flows[key] = Flow(key)
-            order.append(key)
         flows[key].packets.append(rec)
-    for key in order:
-        flows[key].packets.sort(key=lambda r: r.timestamp_us)
-    return [flows[key] for key in order]
+    for f in flows.values():
+        f.packets.sort(key=lambda r: r.timestamp_us)
+    return list(flows.values())
 
 
 def truncate_flows(flows, q=0.9):
@@ -132,11 +129,8 @@ def iat_size_features(flows):
     X = np.zeros((len(flows), D))
     for i, f in enumerate(flows):
         pkts = f.packets[:L]
-        times = [p.timestamp_us for p in pkts]
-        for j in range(len(pkts) - 1):
-            X[i, j] = times[j + 1] - times[j]
-        for j, p in enumerate(pkts):
-            X[i, L - 1 + j] = p.size_bytes
+        X[i, : len(pkts) - 1] = np.diff([p.timestamp_us for p in pkts])
+        X[i, L - 1 : L - 1 + len(pkts)] = [p.size_bytes for p in pkts]
     return FeatureMatrix(X, IAT_SIZE, [f.flow_id() for f in flows])
 
 
@@ -165,8 +159,8 @@ def stats_header_features(flows):
         X[i, 8] = sizes.min()
         X[i, 9] = sizes.max()
         X[i, 10] = np.mean([p.ttl for p in f.packets])
-        for j, (_name, bit) in enumerate(TCP_FLAG_BITS):
-            X[i, 11 + j] = sum(1 for p in f.packets if p.tcp_flags & bit)
+        flags = np.array([p.tcp_flags for p in f.packets])
+        X[i, 11:] = np.count_nonzero(flags[:, None] & _FLAG_MASKS, axis=0)
     return FeatureMatrix(X, STATS_HEADER, [f.flow_id() for f in flows])
 
 

@@ -32,9 +32,8 @@ def gaussian_kernel(x, y, h):
 
 def require_finite(X):
     """Raise ValueError naming the first non-finite entry of a 2-D array."""
-    bad = ~np.isfinite(X)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(f"non-finite value {X[row, col]} at row {row}, column {col}")
 
 

@@ -1,7 +1,8 @@
 """Classic libpcap parsing and the canonical packet-record CSV format.
 
-Only Ethernet-II / IPv4 / {TCP, UDP} frames become records; everything else
-(VLAN, IPv6, non-first fragments, truncated frames) is skipped silently.
+Only Ethernet captures are read (any other link type is an error), and only
+Ethernet-II / IPv4 / {TCP, UDP} frames become records; everything else (VLAN,
+IPv6, fragments, truncated frames) is skipped silently.
 Packet size is the IPv4 total-length field, so link-layer padding does not
 leak into features.
 """
@@ -19,9 +20,15 @@ _MAGICS = {
     0x4D3CB2A1: (">", 1_000_000_000),
 }
 
+_LINKTYPE_ETHERNET = 1
 _ETHERTYPE_IPV4 = 0x0800
 _PROTO_TCP = 6
 _PROTO_UDP = 17
+
+# Ethernet-II and fixed IPv4 header in one read: ethertype, version/IHL, total
+# length, flags/fragment offset, TTL, protocol, source and destination address
+_ETH_IPV4 = struct.Struct(">12xHBxH2xHBB2x4s4s")
+_PORTS = struct.Struct(">HH")
 
 
 class PcapParseError(ValueError):
@@ -60,32 +67,36 @@ def parse_pcap(data):
     Raises
     ------
     PcapParseError
-        On a malformed global header, or a record truncated mid-file (the
-        error names the byte offset).
+        On a malformed global header, a link type other than Ethernet, or a
+        record truncated mid-file (the error names the byte offset).
     """
     if len(data) < 24:
         raise PcapParseError(f"global header truncated: {len(data)} bytes < 24")
-    magic = struct.unpack("<I", data[:4])[0]
+    magic = struct.unpack_from("<I", data)[0]
     if magic not in _MAGICS:
         raise PcapParseError(f"bad magic 0x{magic:08x}")
     endian, tick = _MAGICS[magic]
+    # bits 26-31 of the field say whether frames end in an FCS, as in libpcap
+    linktype = struct.unpack_from(endian + "I", data, 20)[0] & 0x03FFFFFF
+    if linktype != _LINKTYPE_ETHERNET:
+        raise PcapParseError(f"unsupported link type {linktype}: only Ethernet (1) is read")
 
+    record_header = struct.Struct(endian + "IIII")
+    view = memoryview(data)
     records = []
     offset = 24
     total = len(data)
     while offset < total:
         if offset + 16 > total:
             raise PcapParseError(f"record header truncated at byte offset {offset}")
-        ts_sec, ts_frac, incl_len, _orig_len = struct.unpack(
-            endian + "IIII", data[offset : offset + 16]
-        )
-        if offset + 16 + incl_len > total:
-            raise PcapParseError(f"packet data truncated at byte offset {offset + 16}")
-        frame = data[offset + 16 : offset + 16 + incl_len]
-        offset += 16 + incl_len
+        ts_sec, ts_frac, incl_len, _orig_len = record_header.unpack_from(data, offset)
+        start = offset + 16
+        offset = start + incl_len
+        if offset > total:
+            raise PcapParseError(f"packet data truncated at byte offset {start}")
 
         ts_us = ts_sec * 1_000_000 + (ts_frac if tick == 1_000_000 else ts_frac // 1000)
-        record = _parse_frame(frame, ts_us)
+        record = _parse_frame(view[start:offset], ts_us)
         if record is not None:
             records.append(record)
     return records
@@ -93,52 +104,31 @@ def parse_pcap(data):
 
 def _parse_frame(frame, ts_us):
     """Decode one Ethernet-II frame; return None for anything unsupported."""
-    if len(frame) < 14:
+    if len(frame) < _ETH_IPV4.size:
         return None
-    ethertype = struct.unpack(">H", frame[12:14])[0]
-    if ethertype != _ETHERTYPE_IPV4:
-        return None
-    ip = frame[14:]
-    if len(ip) < 20:
-        return None
-    version_ihl = ip[0]
-    if version_ihl >> 4 != 4:
-        return None
+    ethertype, version_ihl, total_length, flags_frag, ttl, proto, src, dst = (
+        _ETH_IPV4.unpack_from(frame)
+    )
     ihl = (version_ihl & 0x0F) * 4
-    if ihl < 20 or len(ip) < ihl:
+    if (ethertype != _ETHERTYPE_IPV4 or version_ihl >> 4 != 4 or ihl < 20 or total_length < ihl
+            or flags_frag & 0x3FFF  # MF set or nonzero fragment offset
+            or proto not in (_PROTO_TCP, _PROTO_UDP)):
         return None
-    total_length = struct.unpack(">H", ip[2:4])[0]
-    if total_length < ihl:
+    transport = 14 + ihl
+    if len(frame) < transport + (14 if proto == _PROTO_TCP else 4):
         return None
-    flags_frag = struct.unpack(">H", ip[6:8])[0]
-    if flags_frag & 0x3FFF:  # MF set or nonzero fragment offset
-        return None
-    ttl = ip[8]
-    proto = ip[9]
-    if proto not in (_PROTO_TCP, _PROTO_UDP):
-        return None
-    transport = ip[ihl:]
-    if len(transport) < 4:
-        return None
-    src_port, dst_port = struct.unpack(">HH", transport[:4])
-    if proto == _PROTO_TCP:
-        if len(transport) < 14:
-            return None
-        tcp_flags = transport[13]
-        proto_name = "TCP"
-    else:
-        tcp_flags = 0
-        proto_name = "UDP"
+    src_port, dst_port = _PORTS.unpack_from(frame, transport)
+    tcp = proto == _PROTO_TCP
     return PacketRecord(
         timestamp_us=ts_us,
-        src_ip=_ip_str(ip[12:16]),
-        dst_ip=_ip_str(ip[16:20]),
+        src_ip=_ip_str(src),
+        dst_ip=_ip_str(dst),
         src_port=src_port,
         dst_port=dst_port,
-        proto=proto_name,
+        proto="TCP" if tcp else "UDP",
         size_bytes=total_length,
         ttl=ttl,
-        tcp_flags=tcp_flags,
+        tcp_flags=frame[transport + 13] if tcp else 0,
     )
 
 
@@ -146,17 +136,16 @@ def _ip_str(raw):
     return ".".join(str(b) for b in raw)
 
 
-def _parse_ip(text):
+def _check_ip(text):
+    """Require a dotted quad of canonical decimal octets, as pcap parsing writes."""
     parts = text.split(".")
     if len(parts) != 4:
         raise ValueError(f"bad IPv4 address {text!r}")
-    octets = []
     for p in parts:
         v = int(p)
-        if not 0 <= v <= 255:
-            raise ValueError(f"bad IPv4 octet {p!r}")
-        octets.append(v)
-    return octets
+        # int() also takes leading zeros, spaces and "_"
+        if str(v) != p or not 0 <= v <= 255:
+            raise ValueError(f"bad IPv4 octet {p!r} in {text!r}")
 
 
 def parse_packet_csv(text):
@@ -177,9 +166,9 @@ def parse_packet_csv(text):
             raise ValueError(f"line {lineno}: expected 9 fields, got {len(fields)}")
         try:
             ts = int(fields[0])
-            _parse_ip(fields[1])
+            _check_ip(fields[1])
             src_port = int(fields[2])
-            _parse_ip(fields[3])
+            _check_ip(fields[3])
             dst_port = int(fields[4])
             proto = fields[5]
             size_bytes = int(fields[6])

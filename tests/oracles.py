@@ -3,16 +3,22 @@
 These deliberately avoid the library's own code paths: the QP oracle
 enumerates KKT partitions, the AUC oracle counts pairs, the density oracles
 sum Gaussians directly or factor every covariance on every call, the kNN
-oracle argsorts whole distance rows and the core oracle runs the union-find
-sweep over every kNN edge.
+oracle argsorts whole distance rows, the core oracle runs the union-find
+sweep over every kNN edge, the pcap oracle decodes a frame one field at a
+time and the flow-feature oracles fill each row one packet at a time.
 """
 
 import itertools
+import struct
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
+
+from ocsketch.flows import STATS_HEADER_DIM, TCP_FLAG_BITS, _packet_budget
+from ocsketch.kernel import percentile
+from ocsketch.pcap import PacketRecord, PcapParseError
 
 
 def gaussian_gram(X, Y, h):
@@ -205,3 +211,142 @@ def cluster_cores_sweep(densities, nbrs, beta):
             core_id[fresh] = n_cores
             n_cores += 1
     return [np.flatnonzero(core_id == c) for c in range(n_cores)]
+
+
+# magic -> (endianness, ticks per second of the fractional field)
+_MAGICS = {
+    0xA1B2C3D4: ("<", 1_000_000),
+    0xD4C3B2A1: (">", 1_000_000),
+    0xA1B23C4D: ("<", 1_000_000_000),
+    0x4D3CB2A1: (">", 1_000_000_000),
+}
+
+_ETHERTYPE_IPV4 = 0x0800
+_PROTO_TCP = 6
+_PROTO_UDP = 17
+
+
+def parse_pcap_fieldwise(data):
+    """pcap.parse_pcap before frames were decoded with one fixed-layout read.
+
+    Same records and the same PcapParseError texts, except that it never
+    reads the global header's link type.
+    """
+    if len(data) < 24:
+        raise PcapParseError(f"global header truncated: {len(data)} bytes < 24")
+    magic = struct.unpack("<I", data[:4])[0]
+    if magic not in _MAGICS:
+        raise PcapParseError(f"bad magic 0x{magic:08x}")
+    endian, tick = _MAGICS[magic]
+
+    records = []
+    offset = 24
+    total = len(data)
+    while offset < total:
+        if offset + 16 > total:
+            raise PcapParseError(f"record header truncated at byte offset {offset}")
+        ts_sec, ts_frac, incl_len, _orig_len = struct.unpack(
+            endian + "IIII", data[offset : offset + 16]
+        )
+        if offset + 16 + incl_len > total:
+            raise PcapParseError(f"packet data truncated at byte offset {offset + 16}")
+        frame = data[offset + 16 : offset + 16 + incl_len]
+        offset += 16 + incl_len
+
+        ts_us = ts_sec * 1_000_000 + (ts_frac if tick == 1_000_000 else ts_frac // 1000)
+        record = _parse_frame_fieldwise(frame, ts_us)
+        if record is not None:
+            records.append(record)
+    return records
+
+
+def _parse_frame_fieldwise(frame, ts_us):
+    """Decode one Ethernet-II frame; return None for anything unsupported."""
+    if len(frame) < 14:
+        return None
+    ethertype = struct.unpack(">H", frame[12:14])[0]
+    if ethertype != _ETHERTYPE_IPV4:
+        return None
+    ip = frame[14:]
+    if len(ip) < 20:
+        return None
+    version_ihl = ip[0]
+    if version_ihl >> 4 != 4:
+        return None
+    ihl = (version_ihl & 0x0F) * 4
+    if ihl < 20 or len(ip) < ihl:
+        return None
+    total_length = struct.unpack(">H", ip[2:4])[0]
+    if total_length < ihl:
+        return None
+    flags_frag = struct.unpack(">H", ip[6:8])[0]
+    if flags_frag & 0x3FFF:  # MF set or nonzero fragment offset
+        return None
+    ttl = ip[8]
+    proto = ip[9]
+    if proto not in (_PROTO_TCP, _PROTO_UDP):
+        return None
+    transport = ip[ihl:]
+    if len(transport) < 4:
+        return None
+    src_port, dst_port = struct.unpack(">HH", transport[:4])
+    if proto == _PROTO_TCP:
+        if len(transport) < 14:
+            return None
+        tcp_flags = transport[13]
+        proto_name = "TCP"
+    else:
+        tcp_flags = 0
+        proto_name = "UDP"
+    return PacketRecord(
+        timestamp_us=ts_us,
+        src_ip=_ip_str(ip[12:16]),
+        dst_ip=_ip_str(ip[16:20]),
+        src_port=src_port,
+        dst_port=dst_port,
+        proto=proto_name,
+        size_bytes=total_length,
+        ttl=ttl,
+        tcp_flags=tcp_flags,
+    )
+
+
+def _ip_str(raw):
+    return ".".join(str(b) for b in raw)
+
+
+def iat_size_loops(flows):
+    """flows.iat_size_features' values, filled one packet at a time."""
+    L = _packet_budget(flows)
+    X = np.zeros((len(flows), 2 * L - 1))
+    for i, f in enumerate(flows):
+        pkts = f.packets[:L]
+        times = [p.timestamp_us for p in pkts]
+        for j in range(len(pkts) - 1):
+            X[i, j] = times[j + 1] - times[j]
+        for j, p in enumerate(pkts):
+            X[i, L - 1 + j] = p.size_bytes
+    return X
+
+
+def stats_header_loops(flows):
+    """flows.stats_header_features' values, flags counted one bit at a time."""
+    X = np.zeros((len(flows), STATS_HEADER_DIM))
+    for i, f in enumerate(flows):
+        sizes = np.array([p.size_bytes for p in f.packets], dtype=float)
+        duration_s = f.duration_us / 1e6
+        rate_denom = max(f.duration_us, 1) / 1e6
+        X[i, 0] = duration_s
+        X[i, 1] = len(f.packets) / rate_denom
+        X[i, 2] = sizes.sum() / rate_denom
+        X[i, 3] = sizes.mean()
+        X[i, 4] = sizes.std()
+        X[i, 5] = percentile(sizes, 0.25)
+        X[i, 6] = percentile(sizes, 0.5)
+        X[i, 7] = percentile(sizes, 0.75)
+        X[i, 8] = sizes.min()
+        X[i, 9] = sizes.max()
+        X[i, 10] = np.mean([p.ttl for p in f.packets])
+        for j, (_name, bit) in enumerate(TCP_FLAG_BITS):
+            X[i, 11 + j] = sum(1 for p in f.packets if p.tcp_flags & bit)
+    return X

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,36 @@ def test_read_feature_csv_rejects_non_finite(tmp_path, bad):
     path.write_text(f"flow_id,label,f0,f1\na,0,1.0,2.0\nb,1,3.0,{bad}\n")
     with pytest.raises(ValueError, match="line 3, column f1"):
         read_feature_csv(path)
+
+
+@pytest.mark.parametrize("body, match", [
+    ("a,0,1.0,2.0\nb,1,3.0\n", "line 3: expected 4 fields, got 3"),
+    ("a,0,1.0,2.0\nb,1,3.0,4.0,5.0\n", "line 3: expected 4 fields, got 5"),
+    ("a,0,1.0,2.0\n\nb,1,3.0,4.0\n", "line 3: expected 4 fields, got 1"),
+    ("a,0,1.0,2.0\nb,1,3.0,x1\n", "line 3, column f1: not a number: 'x1'"),
+    ("a,0,,2.0\n", "line 2, column f0: not a number: ''"),
+])
+def test_read_feature_csv_names_malformed_line(tmp_path, body, match):
+    path = tmp_path / "f.csv"
+    path.write_text("flow_id,label,f0,f1\n" + body)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        read_feature_csv(path)
+
+
+def test_read_feature_csv_rejects_rows_all_shorter_than_header(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("flow_id,f0,f1,f2\na,1.0,2.0\nb,3.0,4.0\n")
+    with pytest.raises(ValueError, match="line 2: expected 4 fields, got 3"):
+        read_feature_csv(path)
+
+
+def test_read_feature_csv_shapes(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("flow_id,f0,f1,f2\n")
+    assert read_feature_csv(path)[1].shape == (0, 3)
+    path.write_text("flow_id,label,f0\na,1,2.5\n")
+    ids, X, labels = read_feature_csv(path)
+    assert (ids, X.tolist(), labels) == (["a"], [[2.5]], ["1"])
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

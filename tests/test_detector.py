@@ -77,6 +77,18 @@ def test_detect_score_composition():
     assert detect_score(model, x) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_names_row_and_column(bad):
+    Xn, Xv = ring_data(300)
+    model = train_detector(Xn, small_config(k=2))
+    X = Xv[:4].copy()
+    X[2, 1] = bad
+    with pytest.raises(ValueError, match=f"non-finite value {bad} at row 2, column 1"):
+        detect_scores(model, X)
+    with pytest.raises(ValueError, match=f"non-finite value {bad} at row 0, column 1"):
+        detect_score(model, X[2])
+
+
 def test_far_point_scores_like_origin_embedding():
     Xn, _ = ring_data(300)
     model = train_detector(Xn, small_config(k=2))

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import iat_size_loops, stats_header_loops
 from ocsketch.flows import (
     IAT_SIZE,
     SAMP_SIZE,
@@ -200,3 +203,21 @@ def test_featurization_deterministic():
     flows = truncate_flows(assemble_flows(records), 0.9)
     for fn in (iat_size_features, stats_header_features, samp_size_features):
         assert np.array_equal(fn(flows).values, fn(flows).values)
+
+
+# one flow: 1-40 packets of (timestamp, size, ttl, TCP flags)
+_flow_packets = st.lists(
+    st.tuples(st.integers(0, 2**40), st.integers(20, 65535), st.integers(0, 255),
+              st.integers(0, 255)),
+    min_size=1, max_size=40,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(_flow_packets, min_size=1, max_size=12))
+def test_features_match_packet_loops(specs):
+    records = [pkt(ts, sport=i + 1, proto="TCP", size=size, ttl=ttl, flags=flags)
+               for i, spec in enumerate(specs) for ts, size, ttl, flags in spec]
+    flows = assemble_flows(records)
+    assert np.array_equal(iat_size_features(flows).values, iat_size_loops(flows))
+    assert np.array_equal(stats_header_features(flows).values, stats_header_loops(flows))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import parse_pcap_fieldwise
 from ocsketch.pcap import (
     CSV_HEADER,
     PacketRecord,
@@ -15,8 +16,8 @@ from ocsketch.pcap import (
 )
 
 
-def global_header(endian="<", magic=0xA1B2C3D4):
-    return struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)
+def global_header(endian="<", magic=0xA1B2C3D4, linktype=1):
+    return struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, linktype)
 
 
 def ipv4_frame(src="10.0.0.1", dst="10.0.0.2", sport=53, dport=4000, proto=17,
@@ -120,6 +121,25 @@ def test_bad_magic_fatal():
         parse_pcap(b"\x00" * 10)
 
 
+@pytest.mark.parametrize("endian", ["<", ">"])
+@pytest.mark.parametrize("linktype", [101, 113, 228])  # raw IP, Linux cooked, raw IPv4
+def test_non_ethernet_link_type_fatal(endian, linktype):
+    frame = ipv4_frame()[14:]  # what a raw-IP capture holds
+    cap = (global_header(endian, linktype=linktype)
+           + record_header(frame, 1, 0, endian) + frame)
+    with pytest.raises(PcapParseError, match=f"unsupported link type {linktype}"):
+        parse_pcap(cap)
+
+
+def test_ethernet_with_fcs_bits_in_link_type_field():
+    # bits 26-31 of the field say a 4-byte FCS ends each frame; the link
+    # type in the lower bits is still Ethernet
+    frame = ipv4_frame() + b"\xde\xad\xbe\xef"
+    cap = (global_header(linktype=(1 << 28) | (1 << 26) | 1)
+           + record_header(frame, 1, 0) + frame)
+    assert parse_pcap(cap) == [EXAMPLE_RECORD]
+
+
 def test_truncated_record_names_offset():
     cap = one_udp_capture()[:-5]
     with pytest.raises(PcapParseError, match="byte offset 40"):
@@ -143,6 +163,16 @@ def test_csv_unknown_proto_names_line():
     text = (CSV_HEADER + "\n"
             "1000000,10.0.0.1,53,10.0.0.2,4000,UDP,60,64,0\n"
             "1000001,10.0.0.1,53,10.0.0.2,4000,ICMP,60,64,0\n")
+    with pytest.raises(ValueError, match="line 3"):
+        parse_packet_csv(text)
+
+
+@pytest.mark.parametrize("address", ["010.0.0.1", " 10.0.0.1", "1_0.0.0.1", "10.0.0.+1",
+                                     "10.0.0.256", "10.0.0.-1", "10.0.0", "10.0..1"])
+def test_csv_non_canonical_address_names_line(address):
+    text = (CSV_HEADER + "\n"
+            "1000000,10.0.0.1,53,10.0.0.2,4000,UDP,60,64,0\n"
+            f"1000001,10.0.0.2,4000,{address},53,UDP,60,64,0\n")
     with pytest.raises(ValueError, match="line 3"):
         parse_packet_csv(text)
 
@@ -203,16 +233,70 @@ def snapped_capture(seed, n_packets=12):
     return global_header() + b"".join(records)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=400)
-@given(st.integers(0, 2**32 - 1), st.data())
-def test_damaged_capture_parses_or_raises_parse_error(seed, data):
+def odd_frames():
+    """Frames the parser must skip or decode through a non-default path."""
+    eth = b"\xaa" * 6 + b"\xbb" * 6
+    udp, tcp = ipv4_frame(), ipv4_frame(proto=6, tcp_flags=0x18, total_length=40)
+    ip_opts = struct.pack(">BBHHHBBH4s4s", 0x46, 0, 64, 1, 0, 64, 6, 0,
+                          bytes([10, 0, 0, 3]), bytes([10, 0, 0, 4])) + b"\x01" * 4
+    tcp_opts = eth + b"\x08\x00" + ip_opts + tcp[34:]
+    vlan = eth + b"\x81\x00\x00\x05" + udp[12:]
+    ipv6 = (eth + b"\x86\xdd" + struct.pack(">IHBB", 6 << 28, 8, 17, 64)
+            + bytes(range(32)) + udp[34:42])
+    return [
+        udp, tcp, tcp_opts, tcp_opts[:14 + 24 + 13], vlan, ipv6,
+        ipv4_frame(frag=0x2000), ipv4_frame(frag=0x0010), ipv4_frame(proto=6, frag=0x4000),
+        tcp[:14 + 20 + 13], tcp[:14 + 20 + 3], udp[:14 + 20 + 3], udp[:14 + 19], udp[:13],
+    ]
+
+
+def mixed_capture(seed, linktype):
+    """snapped_capture's frames plus odd_frames, under the given link type."""
     cap = bytearray(snapped_capture(seed))
+    cap[20:24] = struct.pack("<I", linktype)
+    for i, frame in enumerate(odd_frames()):
+        cap += record_header(frame, 100 + i, 0) + frame
+    return cap
+
+
+def header_link_type(cap):
+    """The link type an intact global header declares, or None."""
+    endian = {0xA1B2C3D4: "<", 0xA1B23C4D: "<", 0xD4C3B2A1: ">", 0x4D3CB2A1: ">"}.get(
+        struct.unpack_from("<I", cap)[0] if len(cap) >= 24 else None)
+    return None if endian is None else struct.unpack_from(endian + "I", cap, 20)[0] & 0x03FFFFFF
+
+
+def parse_or_error(parse, cap):
+    try:
+        return parse(cap)
+    except PcapParseError as exc:
+        return str(exc)
+
+
+def test_odd_frames_by_hand():
+    cap = global_header() + b"".join(record_header(f, 1, 0) + f for f in odd_frames())
+    # plain UDP, plain TCP, TCP behind 4 bytes of IPv4 options and TCP with
+    # only DF set; VLAN, IPv6, fragments and short headers are skipped
+    assert [(r.src_ip, r.proto, r.tcp_flags) for r in parse_pcap(cap)] == [
+        ("10.0.0.1", "UDP", 0), ("10.0.0.1", "TCP", 0x18),
+        ("10.0.0.3", "TCP", 0x18), ("10.0.0.1", "TCP", 0),
+    ]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 1, 1, 101, 113]), st.data())
+def test_damaged_capture_parses_or_raises_parse_error(seed, linktype, data):
+    cap = mixed_capture(seed, linktype)
     cut = data.draw(st.one_of(st.just(len(cap)), st.integers(0, len(cap))))
     del cap[cut:]
     for _ in range(data.draw(st.integers(0, 4)) if cap else 0):
         cap[data.draw(st.integers(0, len(cap) - 1))] = data.draw(st.integers(0, 255))
-    try:
-        records = parse_pcap(bytes(cap))
-    except PcapParseError:
-        return
-    assert all(isinstance(r, PacketRecord) for r in records)
+    cap = bytes(cap)
+    got = parse_or_error(parse_pcap, cap)
+    declared = header_link_type(cap)
+    if declared in (None, 1):
+        # the old field-at-a-time decoder gives the same records or error text
+        assert got == parse_or_error(parse_pcap_fieldwise, cap)
+        assert isinstance(got, str) or all(isinstance(r, PacketRecord) for r in got)
+    else:
+        assert got == f"unsupported link type {declared}: only Ethernet (1) is read"
