@@ -6,7 +6,7 @@ kernel values against m landmark points. Only P (d x m) and the landmarks
 training size.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,15 +19,45 @@ KJL = "kjl"
 # their projection rows are zeroed instead of inverted
 EIG_RTOL = 1e-12
 
+# embed expands ||x - l||^2 about the landmark mean, and the expansion
+# overflows for points ~1e154 from it: a model whose landmarks lie more than
+# sqrt(MAX_SQ_SPREAD) = 1e150 from their mean is rejected when it is built
+MAX_SQ_SPREAD = 1e300
 
-@dataclass
+
+@dataclass(frozen=True)
 class EmbeddingModel:
-    """Landmark subsample plus projection matrix."""
+    """Landmark subsample plus projection matrix.
+
+    Construction centres the landmarks on their mean and keeps what embed
+    needs, so a model is frozen: build a new one instead of changing its
+    arrays. Landmarks more than 1e150 from their mean raise ValueError.
+    """
 
     kind: str  # NYSTROM or KJL
     landmarks: np.ndarray  # (m, D)
     P: np.ndarray  # (d, m)
     h: float
+    # Derived in __post_init__, never serialized (C-ordered for the products):
+    _centre: np.ndarray = field(init=False, repr=False, compare=False)  # (D,) landmark mean c
+    _neg2_lc_t: np.ndarray = field(init=False, repr=False, compare=False)  # (D, m) -2 (l - c)^T
+    _lc_sq: np.ndarray = field(init=False, repr=False, compare=False)  # (m,) ||l - c||^2
+    _p_t: np.ndarray = field(init=False, repr=False, compare=False)  # (m, d) P^T
+
+    def __post_init__(self):
+        centre = self.landmarks.mean(axis=0)
+        lc = self.landmarks - centre
+        lc_sq = np.einsum("ij,ij->i", lc, lc)
+        if not np.all(lc_sq <= MAX_SQ_SPREAD):  # also false for inf and nan
+            raise ValueError(
+                f"a landmark lies {np.sqrt(lc_sq.max()):.3g} from the landmark mean; "
+                f"the limit is {np.sqrt(MAX_SQ_SPREAD):.0e}"
+            )
+        object.__setattr__(self, "_centre", centre)
+        # scaling by -2 is exact, so this is -2 (l - c)^T to the last bit
+        object.__setattr__(self, "_neg2_lc_t", np.ascontiguousarray(-2.0 * lc.T))
+        object.__setattr__(self, "_lc_sq", lc_sq)
+        object.__setattr__(self, "_p_t", np.ascontiguousarray(self.P.T))
 
     @property
     def m(self):
@@ -109,6 +139,16 @@ def fit_kjl(X, m, d, h, seed=None):
 def embed(model, X):
     """Map rows of X to the embedded space: row i = P . K(X_i).
 
+    The squared distances come from one matrix product against the centred
+    landmarks, ||x_c||^2 + ||l_c||^2 - 2 l_c . x_c, with x_c = x - c and
+    l_c = l - c for the landmark mean c. Translation leaves distances
+    unchanged, and centring keeps the cancellation small: the rounding error
+    of a squared distance is O(D eps (||x_c||^2 + ||l_c||^2)), so each kernel
+    value is within that over h^2 of exp(-||x - l||^2 / h^2). Round-off below
+    0 is clamped to 0, so every kernel value lies in [0, 1]. (A query ~1e157
+    or more from the landmark mean, far beyond any feature scale, can
+    overflow the expansion to nan, which log_pdf then rejects.)
+
     Parameters
     ----------
     model : EmbeddingModel
@@ -130,5 +170,11 @@ def embed(model, X):
             f"input dim {X.shape[1]} != landmark dim {model.input_dim}"
         )
     require_finite(X)
-    K = gram(X, model.landmarks, model.h)
-    return K @ model.P.T
+    Xc = X - model._centre
+    K = Xc @ model._neg2_lc_t  # (n, m): squared distances, then kernel values, in place
+    K += np.einsum("ij,ij->i", Xc, Xc)[:, None]
+    K += model._lc_sq
+    np.maximum(K, 0.0, out=K)  # round-off below 0 would give a kernel value above 1
+    K /= -model.h**2
+    np.exp(K, out=K)
+    return np.dot(K, model._p_t)  # less per-call overhead than @ for one row

@@ -5,6 +5,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, lapack
 
+from .kernel import require_finite
+
 
 @dataclass(frozen=True)
 class GmmModel:
@@ -60,32 +62,30 @@ def _log_terms(model, Z):
     log-sum-exp over components.
 
     One stacked matmul whitens Z against every component's cached inverse
-    Cholesky factor, then a max-shifted log-sum-exp combines the components.
-    The log-sum-exp is finite unless a point lies ~1e154 or more (in whitened
+    Cholesky factor, then np.logaddexp.reduce combines the components. The
+    log-sum-exp is finite unless a point lies ~1e154 or more (in whitened
     units) from every mean, where each squared distance overflows and it is
-    -inf.
+    -inf; neither step warns there (einsum sets no floating-point flags, and
+    logaddexp of -inf terms is -inf).
     """
     # Centre on each mean before whitening: Z @ L^-T - mu @ L^-T would cancel
     # digits for points near a mean that lies far from the origin.
     Y = (Z[None, :, :] - model.mu[:, None, :]) @ model._inv_t  # (k, n, d)
-    with np.errstate(over="ignore", divide="ignore"):  # far from every mean: -inf
-        joint = model._log_norm[:, None] - 0.5 * np.square(Y).sum(axis=2)  # (k, n)
-        top = joint.max(axis=0)
-        top[np.isneginf(top)] = 0.0  # every term is 0, so the log of their sum is -inf
-        return joint, np.log(np.exp(joint - top).sum(axis=0)) + top
+    joint = model._log_norm[:, None] - 0.5 * np.einsum("knd,knd->kn", Y, Y)  # (k, n)
+    return joint, np.logaddexp.reduce(joint, axis=0)
 
 
 def log_pdf(model, z):
     """Mixture log density log sum_l pi_l N(z; mu_l, sigma_l).
 
     Accepts a single d-vector (returns float) or an (n, d) batch (returns
-    (n,) array); both take the same path, the one EM's e_step takes.
+    (n,) array); both take the same path, the one EM's e_step takes. A
+    non-finite entry raises ValueError naming its row and column.
     """
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
     Z = np.atleast_2d(z)
-    if not np.isfinite(Z).all():
-        raise ValueError("non-finite input to log_pdf")
+    require_finite(Z)
     if Z.shape[1] != model.d:
         raise ValueError(f"dimension mismatch: {Z.shape[1]} != {model.d}")
     vals = _log_terms(model, Z)[1]

@@ -1,9 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the library's own code paths: the QP oracle
-enumerates KKT partitions, the AUC oracle counts pairs, the density oracles
-sum Gaussians directly or factor every covariance on every call, the kNN
-oracle argsorts whole distance rows, the core oracle runs the union-find
+enumerates KKT partitions, the AUC oracle counts pairs, the embedding oracle
+takes every kernel distance from cdist, the density oracles sum Gaussians
+directly or factor every covariance on every call, the kNN oracle argsorts
+whole distance rows, the core oracle runs the union-find
 sweep over every kNN edge, the pcap oracle decodes a frame one field at a
 time and the flow-feature oracles fill each row one packet at a time.
 """
@@ -17,7 +18,7 @@ from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
 from ocsketch.flows import STATS_HEADER_DIM, TCP_FLAG_BITS, _packet_budget
-from ocsketch.kernel import percentile
+from ocsketch.kernel import gram, percentile, require_finite
 from ocsketch.pcap import PacketRecord, PcapParseError
 
 
@@ -140,6 +141,19 @@ def nystrom_target_gram(K_II, K_IJ, d, eig_rtol=1e-12):
     keep = lam >= eig_rtol * lam[0]
     inv = V[:, keep] @ np.diag(1.0 / lam[keep]) @ V[:, keep].T
     return K_IJ.T @ inv @ K_IJ
+
+
+def embed_cdist(model, X):
+    """The former embedding.embed: a cdist gram against the landmarks, then P.
+    Same contract as embedding.embed."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != model.input_dim:
+        raise ValueError(
+            f"input dim {X.shape[1]} != landmark dim {model.input_dim}"
+        )
+    require_finite(X)
+    K = gram(X, model.landmarks, model.h)
+    return K @ model.P.T
 
 
 def knn_table_argsort(X, k_n):

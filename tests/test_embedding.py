@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocsketch.embedding import (
     KJL,
@@ -11,7 +15,10 @@ from ocsketch.embedding import (
 )
 from ocsketch.kernel import gram, quantile_bandwidth
 
-from oracles import nystrom_target_gram
+from oracles import embed_cdist, nystrom_target_gram
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+EPS = np.finfo(float).eps
 
 
 def test_nystrom_identical_landmarks_hand_case():
@@ -125,6 +132,21 @@ def test_embed_affine_in_projection():
     scaled = EmbeddingModel(model.kind, model.landmarks, 3.0 * model.P, model.h)
     Q = rng.standard_normal((6, 3))
     assert np.allclose(embed(scaled, Q), 3.0 * embed(model, Q), rtol=1e-12)
+    # a power of two scales every product and sum without rounding
+    quadrupled = EmbeddingModel(model.kind, model.landmarks, 4.0 * model.P, model.h)
+    assert np.array_equal(embed(quadrupled, Q), 4.0 * embed(model, Q))
+
+
+def test_embedding_model_is_frozen():
+    model = fit_kjl(np.random.default_rng(10).standard_normal((12, 3)), 6, 2, 1.0, seed=0)
+    for name, value in [("landmarks", np.zeros((6, 3))), ("P", np.zeros((2, 6))), ("h", 2.0)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, value)
+
+
+def test_landmarks_too_far_from_their_mean_rejected():
+    with pytest.raises(ValueError, match="from the landmark mean"):
+        EmbeddingModel(KJL, np.array([[0.0], [1e160]]), np.ones((1, 2)), 1.0)
 
 
 def test_rank_deficient_rows_zeroed():
@@ -140,3 +162,57 @@ def test_kind_tags():
     X = np.random.default_rng(9).standard_normal((10, 2))
     assert fit_nystrom(X, 5, 2, 1.0, seed=0).kind == NYSTROM
     assert fit_kjl(X, 5, 2, 1.0, seed=0).kind == KJL
+
+
+# A-priori bound on |K - K_cdist| for the expansion ||x_c||^2 + ||l_c||^2 -
+# 2 l_c . x_c about the landmark mean, with S = ||x_c||^2 + ||l_c||^2. The
+# squared distance moves by at most 4 eps S from rounding the centred
+# coordinates, 2 D eps S from the two squared norms and the doubled D-term
+# product, 4 eps S from the two additions, and 2 (D + 2) eps S from cdist's
+# own roundings; dividing by h^2 on both sides adds 4 eps S. That is
+# (4 D + 16) eps S / h^2, and c = 4 D + 20 leaves room for the O(eps^2)
+# terms; each side's exp adds one more ulp of a value <= 1.
+def kernel_error_bound(D, S, h):
+    c = 4 * D + 20
+    return c * EPS * S / h**2 + 2 * EPS
+
+
+@st.composite
+def landmark_sets(draw):
+    """Rows whose columns have their own offset and spread, each 1 to 1e7 (like
+    stats_header's), landmarks drawn from them with repeats (or all one row),
+    h at a 0.1-0.5 distance quantile, and queries that are the landmarks, points
+    within 1e-9 spreads of them, the rows, and points 1e3 spreads away."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    D = draw(st.integers(1, 8))
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(1, 20))
+    spread = 10.0 ** rng.uniform(0, 7, D)
+    offset = 10.0 ** rng.uniform(0, 7, D) * rng.choice([-1, 0, 1], D)
+    X = offset + spread * rng.standard_normal((n, D))
+    identical = draw(st.booleans()) and draw(st.booleans())
+    rows = np.zeros(m, dtype=int) if identical else rng.integers(0, n, m)
+    landmarks = X[rows]
+    h = quantile_bandwidth(X, draw(st.floats(0.1, 0.5)))
+    Q = np.vstack([
+        landmarks,
+        landmarks + 1e-9 * spread * rng.standard_normal((m, D)),
+        X,
+        X.mean(axis=0) + 1e3 * spread * rng.choice([-1.0, 1.0], (3, D)),
+    ])
+    return landmarks, h, Q, identical
+
+
+@PROPERTY
+@given(landmark_sets())
+def test_embed_kernel_matches_cdist_oracle(case):
+    landmarks, h, Q, identical = case
+    m, D = landmarks.shape
+    model = EmbeddingModel(KJL, landmarks, np.eye(m), h)  # P = I: embed returns K
+    K, K_oracle = embed(model, Q), embed_cdist(model, Q)
+    centre = landmarks.mean(axis=0)
+    S = np.sum((Q - centre) ** 2, axis=1)[:, None] + np.sum((landmarks - centre) ** 2, axis=1)
+    assert np.all(np.abs(K - K_oracle) <= kernel_error_bound(D, S, h))
+    assert K.min() >= 0.0 and K.max() <= 1.0
+    if identical:  # every landmark is the query: exactly 1
+        assert np.all(K[:m] == 1.0)

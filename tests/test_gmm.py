@@ -69,8 +69,16 @@ def test_log_pdf_every_component_underflows_to_neg_inf():
 
 
 def test_log_pdf_rejects_non_finite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite value nan at row 0, column 0"):
         log_pdf(standard_normal_model(), np.array([np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_log_pdf_batch_names_non_finite_row_and_column(bad):
+    Z = np.zeros((4, 2))
+    Z[2, 1] = bad
+    with pytest.raises(ValueError, match=f"non-finite value {bad} at row 2, column 1"):
+        log_pdf(standard_normal_model(), Z)
 
 
 def test_e_step_single_component():

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ocsketch.detector import DetectorModel, deserialize, serialize
-from ocsketch.embedding import EmbeddingModel
+from ocsketch.embedding import EmbeddingModel, embed
 from ocsketch.evaluate import score_method
 from ocsketch.gmm import GmmModel
 from ocsketch.ocsvm import OcsvmModel
@@ -92,6 +92,19 @@ def test_roundtrip_is_bit_exact(model):
 
 
 @PROPERTY
+@given(detector_models())
+def test_deserialized_embedding_rebuilds_scoring_state(model):
+    """The centred landmarks and their norms are derived, never stored: a
+    loaded model rebuilds them bit for bit, so it embeds bit for bit."""
+    emb = model.embedding
+    restored = deserialize(serialize(model)).embedding
+    for name in ("_centre", "_neg2_lc_t", "_lc_sq", "_p_t"):
+        assert np.array_equal(getattr(restored, name), getattr(emb, name)), name
+    probe = np.random.default_rng(emb.m).standard_normal((5, emb.input_dim))
+    assert np.array_equal(embed(restored, probe), embed(emb, probe))
+
+
+@PROPERTY
 @given(any_model, st.data())
 def test_truncated_file_rejected_or_exact(model, data):
     raw = serialize(model)
@@ -134,6 +147,7 @@ def small_detector_file():
 
 @pytest.mark.parametrize("index, value, field", [
     (0, float("nan"), "landmarks"),
+    (0, 1e200, "from the landmark mean"),
     (M * D, float("inf"), "projection P"),
     (H_AT, 0.0, "bandwidth h"),
     (H_AT, -1.0, "bandwidth h"),
