@@ -39,8 +39,12 @@ def knn_table(X, k_n):
     """Neighbor indices (n, k_n) and k_n-th neighbor distance per point.
 
     Neighbors are in ascending distance order with ties broken by index;
-    a point is never its own neighbor. Each row partitions out its k_n-th
-    smallest distance and sorts only the candidates at or below it.
+    a point is never its own neighbor. Each block of rows takes its k_n
+    nearest candidates with one argpartition and sorts their distances with
+    one argsort. That is exact unless a tie lets the partition choose among
+    equal distances, so a row is repaired by an exact stable selection when a
+    distance repeats inside its list, or when more than k_n distances are at
+    or below its k_n-th distance.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
@@ -53,11 +57,19 @@ def knn_table(X, k_n):
         d = cdist(X[start:stop], X)
         rows = np.arange(stop - start)
         d[rows, rows + start] = np.inf
-        kth = np.partition(d, k_n - 1, axis=1)[:, k_n - 1]
-        for local, i in enumerate(range(start, stop)):
+        cand = np.argpartition(d, k_n - 1, axis=1)[:, :k_n]
+        dist = np.take_along_axis(d, cand, axis=1)
+        by_dist = np.argsort(dist, axis=1)
+        cand = np.take_along_axis(cand, by_dist, axis=1)
+        dist = np.take_along_axis(dist, by_dist, axis=1)
+        kth = dist[:, -1]
+        tied = (dist[:, 1:] == dist[:, :-1]).any(axis=1)
+        tied |= np.count_nonzero(d <= kth[:, None], axis=1) > k_n
+        for local in np.flatnonzero(tied).tolist():
             # candidates come in index order, so a stable sort breaks ties by index
-            cand = np.flatnonzero(d[local] <= kth[local])
-            nbrs[i] = cand[np.argsort(d[local, cand], kind="stable")[:k_n]]
+            near = np.flatnonzero(d[local] <= kth[local])
+            cand[local] = near[np.argsort(d[local, near], kind="stable")[:k_n]]
+        nbrs[start:stop] = cand
         radii[start:stop] = kth
     return nbrs, radii
 
@@ -90,13 +102,48 @@ def _merge_events(nbrs, pos):
     The sweep visits edges (i, nbrs[i, t]) to already-processed neighbors in
     key order pos[i]*k_n + t, and merges on exactly the edges Kruskal's
     algorithm keeps under those distinct keys: the minimum spanning forest
-    (0-dimensional persistence, as in ToMATo).
+    (0-dimensional persistence, as in ToMATo). Two facts shrink the graph:
+
+    - a point's first edge to an earlier neighbor always merges, because every
+      edge with a smaller key joins two points processed before it, so the
+      point is still a singleton;
+    - following those first edges gives a forest whose roots are the points
+      with no earlier neighbor, and an edge whose endpoints share a root never
+      merges, because every edge on both ancestor paths has a smaller key.
+
+    So the events are all first edges plus Kruskal's forest over the edges
+    between different roots, each root pair reduced to its smallest key.
     """
     n, k_n = nbrs.shape
-    rows, t = np.nonzero(pos[nbrs] < pos[:, None])
-    keys = (pos[rows] * k_n + t + 1).astype(float)  # +1: csgraph drops zero weights
-    forest = minimum_spanning_tree(coo_matrix((keys, (rows, nbrs[rows, t])), shape=(n, n)))
-    events = np.sort(forest.data).astype(np.int64) - 1
+    earlier = pos[nbrs] < pos[:, None]
+    has_first = earlier.any(axis=1)
+    first_t = np.argmax(earlier, axis=1)
+    root = np.where(has_first, nbrs[np.arange(n), first_t], np.arange(n))
+    while True:  # pointer jumping up the first-edge forest
+        up = root[root]
+        if np.array_equal(up, root):
+            break
+        root = up
+    first_keys = pos[has_first] * k_n + first_t[has_first]
+
+    rows, t = np.nonzero(earlier & (root[nbrs] != root[:, None]))
+    kept = np.empty(0, dtype=np.int64)
+    if rows.size:
+        root_ids = np.flatnonzero(~has_first)
+        r = root_ids.size
+        compact = np.empty(n, dtype=np.int64)
+        compact[root_ids] = np.arange(r)
+        a, b = compact[root[rows]], compact[root[nbrs[rows, t]]]
+        keys = pos[rows] * k_n + t
+        # keep the smallest key per root pair: coo_matrix sums duplicate entries
+        by_key = np.argsort(keys)
+        lo, hi = np.minimum(a, b)[by_key], np.maximum(a, b)[by_key]
+        _, first = np.unique(lo * r + hi, return_index=True)
+        keys, lo, hi = keys[by_key][first], lo[first], hi[first]
+        # +1: csgraph drops zero weights
+        forest = minimum_spanning_tree(coo_matrix((keys + 1.0, (lo, hi)), shape=(r, r)))
+        kept = forest.data.astype(np.int64) - 1
+    events = np.sort(np.concatenate([first_keys, kept]))
     return events // k_n, events % k_n
 
 

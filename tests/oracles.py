@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: the QP oracle
 enumerates KKT partitions, the AUC oracle counts pairs, the embedding oracle
 takes every kernel distance from cdist, the density oracles sum Gaussians
 directly or factor every covariance on every call, the kNN oracle argsorts
-whole distance rows, the core oracle runs the union-find
+whole distance rows, the merge-event oracle runs one minimum spanning tree
+over every earlier-neighbor edge, the core oracle runs the union-find
 sweep over every kNN edge, the pcap oracle decodes a frame one field at a
 time and the flow-feature oracles fill each row one packet at a time.
 """
@@ -14,6 +15,8 @@ import struct
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
@@ -169,6 +172,21 @@ def knn_table_argsort(X, k_n):
     for i, row in enumerate(order):
         nbrs[i] = row[row != i][:k_n]
     return nbrs, d[np.arange(len(X)), nbrs[:, -1]]
+
+
+def merge_events_mst(nbrs, pos):
+    """(step, t) of every merging edge from one MST over every earlier-neighbor edge.
+
+    Same contract as quickshift._merge_events: edge (i, nbrs[i, t]) to a
+    neighbor with smaller pos has key pos[i]*k_n + t, and the merging edges
+    are the minimum spanning forest under those keys, in key order.
+    """
+    n, k_n = nbrs.shape
+    rows, t = np.nonzero(pos[nbrs] < pos[:, None])
+    keys = (pos[rows] * k_n + t + 1).astype(float)  # +1: csgraph drops zero weights
+    forest = minimum_spanning_tree(coo_matrix((keys, (rows, nbrs[rows, t])), shape=(n, n)))
+    events = np.sort(forest.data).astype(np.int64) - 1
+    return events // k_n, events % k_n
 
 
 def cluster_cores_sweep(densities, nbrs, beta):

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ocsketch import quickshift
 from ocsketch.evaluate import synth_blobs
 from ocsketch.gmm import default_reg, fit_em
 from ocsketch.quickshift import (
     NOISE,
     QsConfig,
+    _merge_events,
     auto_k,
     cluster_cores,
     knn_log_density,
@@ -16,7 +18,7 @@ from ocsketch.quickshift import (
     select_components,
 )
 
-from oracles import cluster_cores_sweep, knn_table_argsort
+from oracles import cluster_cores_sweep, knn_table_argsort, merge_events_mst
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -245,3 +247,112 @@ def test_cluster_cores_match_sweep_oracle(case, beta):
     for got, expected in zip(cores, want):
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
+
+
+@PROPERTY
+@given(point_sets(), st.sampled_from([1, 3, 17]))
+def test_knn_table_matches_argsort_oracle_across_blocks(case, block_rows):
+    X, k_n = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quickshift, "_BLOCK_ROWS", block_rows)
+        nbrs, radii = knn_table(X, k_n)
+    want_nbrs, want_radii = knn_table_argsort(X, k_n)
+    assert np.array_equal(nbrs, want_nbrs)
+    assert np.array_equal(radii, want_radii)
+
+
+def grid_3x3():
+    """Integer grid in reverse row-major order: the centre is row 4."""
+    return np.array([(x, y) for x in range(2, -1, -1) for y in range(2, -1, -1)], float)
+
+
+@pytest.mark.parametrize("k_n, centre_row", [
+    (2, [1, 3]),  # four neighbors tie at the k_n-th distance 1
+    (4, [1, 3, 5, 7]),  # the tie fills the list exactly
+    (6, [1, 3, 5, 7, 0, 2]),  # tie inside the list and at the k_n-th distance
+])
+@pytest.mark.parametrize("block_rows", [1, 3, 256])
+def test_knn_table_grid_ties_by_index(monkeypatch, k_n, centre_row, block_rows):
+    monkeypatch.setattr(quickshift, "_BLOCK_ROWS", block_rows)
+    X = grid_3x3()
+    nbrs, radii = knn_table(X, k_n)
+    assert list(nbrs[4]) == centre_row
+    want_nbrs, want_radii = knn_table_argsort(X, k_n)
+    assert np.array_equal(nbrs, want_nbrs)
+    assert np.array_equal(radii, want_radii)
+
+
+@pytest.mark.parametrize("line, k_n, row, want", [
+    ([0, 3, -1, 1], 1, 0, [2]),  # points 2 and 3 tie at the only distance
+    ([3, -3, -1, 2, 0], 3, 4, [2, 3, 0]),  # points 0 and 1 tie at the 3rd
+])
+def test_knn_table_tie_only_at_kth_distance(line, k_n, row, want):
+    # the distances inside each list are distinct; only the k_n-th is tied
+    X = np.array(line, float).reshape(-1, 1)
+    nbrs, _ = knn_table(X, k_n)
+    assert list(nbrs[row]) == want
+    assert np.array_equal(nbrs, knn_table_argsort(X, k_n)[0])
+
+
+def processing_order(dens):
+    """pos[i]: the step at which cluster_cores processes point i."""
+    order = np.lexsort((np.arange(len(dens)), -dens))
+    pos = np.empty(len(dens), dtype=np.int64)
+    pos[order] = np.arange(len(dens))
+    return pos
+
+
+def assert_same_events(nbrs, pos):
+    steps, ts = _merge_events(nbrs, pos)
+    want_steps, want_ts = merge_events_mst(nbrs, pos)
+    assert steps.dtype == want_steps.dtype and ts.dtype == want_ts.dtype
+    assert np.array_equal(steps, want_steps)
+    assert np.array_equal(ts, want_ts)
+    return steps
+
+
+@PROPERTY
+@given(point_sets(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_merge_events_match_mst_oracle(case, levels, seed):
+    # few density levels: many points tie and are ordered by index
+    X, k_n = case
+    dens = np.random.default_rng(seed).integers(0, levels, len(X)).astype(float)
+    assert_same_events(knn_table(X, k_n)[0], processing_order(dens))
+
+
+def test_merge_events_single_root():
+    # density falls away from the middle of a line: every point but the
+    # first processed has an earlier neighbor, so no edge crosses roots
+    X = np.arange(12.0).reshape(-1, 1)
+    pos = processing_order(-np.abs(X[:, 0] - 5.5))
+    steps = assert_same_events(knn_table(X, 2)[0], pos)
+    assert len(steps) == len(X) - 1
+
+
+def test_merge_events_all_but_one_root():
+    # k_n = 1 and every point's neighbor is the last one processed
+    n = 9
+    nbrs = np.full((n, 1), n - 1, dtype=np.int64)
+    nbrs[-1] = 0
+    steps = assert_same_events(nbrs, np.arange(n, dtype=np.int64))
+    assert list(steps) == [n - 1]
+
+
+def test_merge_events_half_roots_dense_cross_edges():
+    # the first m points see only later points and are all roots; later point
+    # m + j sees root j first, then every other root, so each root pair has
+    # cross edges from two points
+    m = 7
+    nbrs = np.empty((2 * m, m), dtype=np.int64)
+    nbrs[:m] = np.arange(m, 2 * m)
+    for j in range(m):
+        nbrs[m + j] = np.roll(np.arange(m), -j)
+    steps = assert_same_events(nbrs, np.arange(2 * m, dtype=np.int64))
+    assert len(steps) == 2 * m - 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_merge_events_k_n_all_others(seed):
+    X, _ = synth_blobs(40, 2, 2, 6.0, seed=seed)
+    dens = knn_log_density(X, len(X) - 1)
+    assert_same_events(knn_table(X, len(X) - 1)[0], processing_order(dens))
