@@ -32,7 +32,7 @@ from .flows import (
     truncate_flows,
 )
 from .gmm import GmmModel, fit_em, log_pdf
-from .kernel import gaussian_kernel, gram, quantile_bandwidth
+from .kernel import gram, quantile_bandwidth
 from .ocsvm import OcsvmModel, train_ocsvm
 from .pcap import PacketRecord, parse_packet_csv, parse_pcap, write_packet_csv
 from .quickshift import QsConfig, auto_k

@@ -81,8 +81,8 @@ def _check_fit_args(X, m, d, h):
     n = X.shape[0]
     if m > n:
         raise ValueError(f"m={m} exceeds training size n={n}")
-    if d > m:
-        raise ValueError(f"d={d} exceeds m={m}")
+    if not 1 <= d <= m:
+        raise ValueError(f"need 1 <= d <= m, got d={d}, m={m}")
     if h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
 
@@ -95,7 +95,7 @@ def fit_nystrom(X, m, d, h, seed=None):
     X : array-like, shape (n, D)
         Training data; m landmarks are drawn uniformly without replacement.
     m, d : int
-        Landmark count and output dimension, d <= m <= n.
+        Landmark count and output dimension, 1 <= d <= m <= n.
     h : float
         Gaussian kernel bandwidth.
     seed : int or None

@@ -41,12 +41,18 @@ class ExperimentProtocol:
 
 @dataclass
 class MethodConfig:
+    """One method's settings; the defaults are its no-tuning configuration."""
+
     method: str
     h_quantile: float = 0.25
     k: int | str = AUTO
     nu: float = 0.5  # ocsvm only
     m: int = 100
     d: int = 5
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -74,13 +80,6 @@ def auc(scores_normal, scores_novel):
     below_or_equal = np.searchsorted(sv, sn, side="right")
     wins_doubled = int(np.sum(below + below_or_equal))
     return wins_doubled / (2 * sn.size * sv.size)
-
-
-def default_config(method):
-    """No-tuning defaults: bandwidth at the 0.25 distance quantile, k automatic."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    return MethodConfig(method=method, h_quantile=0.25, k=AUTO)
 
 
 def tuning_grid(method):
@@ -157,9 +156,7 @@ def run_experiment(normal_pool, novel_pool, methods, protocol=None,
         protocol = ExperimentProtocol()
     if scenario not in (MINIMAL_TUNING, NO_TUNING):
         raise ValueError(f"unknown scenario {scenario!r}")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}")
+    defaults = {m: MethodConfig(method=m) for m in methods}  # rejects unknown methods
 
     p = protocol
     val_half = p.n_val // 2
@@ -196,7 +193,7 @@ def run_experiment(normal_pool, novel_pool, methods, protocol=None,
             if scenario == MINIMAL_TUNING:
                 cfg = tune_minimal(X_train, val_normal, val_novel, method, seed=seed)
             else:
-                cfg = default_config(method)
+                cfg = defaults[method]
 
             t0 = time.perf_counter()
             model = train_method(X_train, cfg, seed=seed)

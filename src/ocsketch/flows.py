@@ -11,6 +11,7 @@ Three feature families are produced from truncated flows:
 """
 
 from dataclasses import dataclass, field
+from socket import inet_aton
 
 import numpy as np
 
@@ -65,16 +66,16 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def _ip_key(ip):
-    return tuple(int(p) for p in ip.split("."))
-
-
 def canonical_key(record: PacketRecord):
-    """Direction-independent 5-tuple: endpoints ordered lexicographically."""
-    a = (_ip_key(record.src_ip), record.src_port, record.src_ip)
-    b = (_ip_key(record.dst_ip), record.dst_port, record.dst_ip)
-    lo, hi = (a, b) if a[:2] <= b[:2] else (b, a)
-    return (lo[2], lo[1], hi[2], hi[1], record.proto)
+    """Direction-independent 5-tuple: endpoints ordered by (address, port).
+
+    inet_aton's 4 bytes order as the octets do, for the canonical dotted
+    quads that parse_pcap and parse_packet_csv produce.
+    """
+    src, dst = record.src_ip, record.dst_ip
+    if (inet_aton(src), record.src_port) <= (inet_aton(dst), record.dst_port):
+        return (src, record.src_port, dst, record.dst_port, record.proto)
+    return (dst, record.dst_port, src, record.src_port, record.proto)
 
 
 def assemble_flows(records):

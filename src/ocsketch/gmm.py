@@ -187,7 +187,7 @@ def fit_em(X, k, init=None, tol=1e-4, max_iter=200, seed=None):
     Parameters
     ----------
     X : array-like, shape (n, d)
-    k : int, k <= n
+    k : int, 1 <= k <= n
     init : optional (n,) cluster labels 0..k-1, negative (NOISE) for rows
         left out of the initial mixture, e.g. quickshift.auto_k's; when
         absent, k-means++ seeding (seeded) is used.
@@ -202,8 +202,8 @@ def fit_em(X, k, init=None, tol=1e-4, max_iter=200, seed=None):
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
-    if k > n:
-        raise ValueError(f"k={k} exceeds n={n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     reg = default_reg(X)
     rng = np.random.default_rng(seed)
     model = _init_model(X, k, init, reg, rng)

@@ -1,33 +1,9 @@
-"""Gaussian kernel, nearest-rank quantiles, distance-quantile bandwidths, gram matrices."""
+"""Gaussian gram matrices, nearest-rank quantiles, distance-quantile bandwidths."""
 
 import math
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
-
-
-def gaussian_kernel(x, y, h):
-    """Gaussian kernel value exp(-||x - y||^2 / h^2).
-
-    Parameters
-    ----------
-    x, y : array-like, shape (D,)
-        Input vectors of equal dimension.
-    h : float
-        Bandwidth, must be > 0.
-
-    Returns
-    -------
-    float in (0, 1], with K(x, x) = 1 exactly.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
-    diff = x - y
-    return float(np.exp(-np.dot(diff, diff) / h**2))
 
 
 def require_finite(X):
@@ -89,17 +65,6 @@ def quantile_bandwidth(X, q):
     return h
 
 
-def squared_distances(X, Y):
-    """Pairwise squared Euclidean distances, shape (n, m)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if X.shape[1] != Y.shape[1]:
-        raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    # cdist evaluates each pair elementwise, so identical rows give exactly 0
-    # and gram(X, X, h) comes out exactly symmetric with a unit diagonal
-    return cdist(X, Y, "sqeuclidean")
-
-
 def gram(X, Y, h):
     """Gram matrix G[i, j] = exp(-||X_i - Y_j||^2 / h^2).
 
@@ -115,4 +80,10 @@ def gram(X, Y, h):
     """
     if h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
-    return np.exp(-squared_distances(X, Y) / h**2)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    if X.shape[1] != Y.shape[1]:
+        raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
+    # cdist evaluates each pair elementwise, so identical rows give exactly 0
+    # and gram(X, X, h) comes out exactly symmetric with a unit diagonal
+    return np.exp(-cdist(X, Y, "sqeuclidean") / h**2)

@@ -100,8 +100,26 @@ def train_ocsvm(X, h, nu=0.5, tol=1e-3, max_kernel_evals=10_000_000, seed=None,
     C = 1.0 / (nu * n)
     rng = np.random.default_rng(seed)
     alpha = _initial_alpha(n, C, rng)
-    cache = _RowCache(X, h, cache_bytes)
+    # the row cache is freed when _smo returns, before the model's arrays are
+    # allocated: an array placed above the cached rows on the heap would keep
+    # their freed memory resident under the next large allocation
+    grad, converged = _smo(_RowCache(X, h, cache_bytes), alpha, C, tol, max_kernel_evals)
+    rho = _offset(grad, alpha, C)
+    sv = alpha > SV_EPS
+    return OcsvmModel(
+        support_vectors=np.array(X[sv]),
+        alpha=alpha[sv].copy(),
+        rho=rho,
+        h=float(h),
+        nu=float(nu),
+        converged=converged,
+    )
 
+
+def _smo(cache, alpha, C, tol, max_kernel_evals):
+    """Maximal-violating-pair SMO from a feasible alpha, updated in place;
+    returns the gradient Q alpha and whether the gap fell below tol."""
+    n = alpha.shape[0]
     # grad = Q alpha, built once from the initially active rows; any feasible
     # start has >= nu*n nonzero alphas, so this build is mandatory work and
     # the eval budget only meters the optimization loop after it
@@ -110,20 +128,17 @@ def train_ocsvm(X, h, nu=0.5, tol=1e-3, max_kernel_evals=10_000_000, seed=None,
         grad += alpha[i] * cache.row(i)
     cache.evals = 0
 
-    converged = False
     max_sweeps = 200 * n  # float-stall safety net on top of the eval budget
     for _ in range(max_sweeps):
         up = alpha < C
         down = alpha > 0
         if not up.any() or not down.any():
-            converged = True  # box fully saturated (nu = 1)
-            break
+            return grad, True  # box fully saturated (nu = 1)
         i = int(np.flatnonzero(up)[np.argmin(grad[up])])
         j = int(np.flatnonzero(down)[np.argmax(grad[down])])
         gap = grad[j] - grad[i]
         if gap <= tol:
-            converged = True
-            break
+            return grad, True
         if cache.evals >= max_kernel_evals:
             break
         qi = cache.row(i)
@@ -137,17 +152,7 @@ def train_ocsvm(X, h, nu=0.5, tol=1e-3, max_kernel_evals=10_000_000, seed=None,
         alpha[i] = C if delta == room_i else alpha[i] + delta
         alpha[j] = 0.0 if delta == room_j else alpha[j] - delta
         grad += delta * (qi - qj)
-
-    rho = _offset(grad, alpha, C)
-    sv = alpha > SV_EPS
-    return OcsvmModel(
-        support_vectors=np.array(X[sv]),
-        alpha=alpha[sv].copy(),
-        rho=rho,
-        h=float(h),
-        nu=float(nu),
-        converged=converged,
-    )
+    return grad, False
 
 
 def _offset(grad, alpha, C):

@@ -74,24 +74,20 @@ def knn_table(X, k_n):
     return nbrs, radii
 
 
-def knn_log_density(X, k_n, table=None):
-    """Per-point log-density -d * log(r_i), r_i the k_n-th neighbor distance.
+def knn_log_density(radii, d):
+    """Per-point log-density -d * log(r_i) in d dimensions.
 
-    Zero radii (duplicated points) fall back to 1e-3 times the smallest
-    positive radius; zero radii everywhere (every point with k_n or more exact
+    r_i is point i's k_n-th neighbor distance, as knn_table returns it. Zero
+    radii (duplicated points) fall back to 1e-3 times the smallest positive
+    radius; zero radii everywhere (every point with k_n or more exact
     duplicates) is an error.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    d = X.shape[1]
-    if table is None:
-        table = knn_table(X, k_n)
-    _, radii = table
-    radii = radii.copy()
+    radii = np.array(radii, dtype=float)
     if np.any(radii == 0):
         positive = radii[radii > 0]
         if positive.size == 0:
             raise ValueError(
-                f"degenerate dataset: every point has at least {k_n} exact duplicates")
+                "degenerate dataset: every point has at least k_n exact duplicates")
         radii[radii == 0] = 1e-3 * positive.min()
     return -d * np.log(radii)
 
@@ -147,27 +143,24 @@ def _merge_events(nbrs, pos):
     return events // k_n, events % k_n
 
 
-def cluster_cores(X, densities, k_n, beta, table=None):
+def cluster_cores(densities, nbrs, beta):
     """Detect cluster cores by persistence-filtered union-find.
 
     Points are processed in decreasing log-density (ties by index); each
-    point links to its already-processed k_n nearest neighbors. A component
-    absorbed at a level more than log(1-beta) below its own peak freezes its
-    members as a core first; after the sweep every surviving root component
-    contributes a final core from its members within log(1-beta) of the peak.
+    point links to its already-processed neighbors in nbrs, knn_table's
+    neighbor lists. A component absorbed at a level more than log(1-beta)
+    below its own peak freezes its members as a core first; after the sweep
+    every surviving root component contributes a final core from its members
+    within log(1-beta) of the peak.
     Only the merge events change any of this state, so the sweep replays just
     those (at most n-1 edges).
 
     Returns a list of index arrays, one per core, in creation order.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     if not 0 < beta < 1:
         raise ValueError(f"beta must be in (0, 1), got {beta}")
     dens = np.asarray(densities, dtype=float)
-    n = X.shape[0]
-    if table is None:
-        table = knn_table(X, k_n)
-    nbrs, _ = table
+    n = dens.shape[0]
     order = np.lexsort((np.arange(n), -dens)).astype(np.int64)
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
@@ -218,21 +211,18 @@ def cluster_cores(X, densities, k_n, beta, table=None):
     return [np.sort(np.array(c, dtype=np.intp)) for c in cores]
 
 
-def quickshift_assign(X, densities, cores, k_n, table=None):
+def quickshift_assign(X, densities, cores, nbrs):
     """Label every point by hill-climbing to a core.
 
     Core points keep their core's label; every other point hops to its
-    nearest strictly-higher-density neighbor (k_n-NN list first, then a
-    global search) until it reaches a labeled point.
+    nearest strictly-higher-density neighbor (its knn_table row first, then
+    a global search over X) until it reaches a labeled point.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     dens = np.asarray(densities, dtype=float)
     n = X.shape[0]
     if not cores:
         raise ValueError("no cores to assign to")
-    if table is None:
-        table = knn_table(X, k_n)
-    nbrs, _ = table
 
     labels = np.full(n, NOISE, dtype=np.int64)
     for c, members in enumerate(cores):
@@ -305,8 +295,8 @@ def auto_k(X, config=None):
     k_n = config.k_neighbors
     if k_n is None:
         k_n = min(math.ceil(n ** (2 / 3)), n - 1)
-    table = knn_table(X, k_n)
-    dens = knn_log_density(X, k_n, table=table)
-    cores = cluster_cores(X, dens, k_n, config.beta, table=table)
-    labels = quickshift_assign(X, dens, cores, k_n, table=table)
+    nbrs, radii = knn_table(X, k_n)
+    dens = knn_log_density(radii, X.shape[1])
+    cores = cluster_cores(dens, nbrs, config.beta)
+    labels = quickshift_assign(X, dens, cores, nbrs)
     return select_components(labels, config.coverage, config.max_clusters)

@@ -180,9 +180,9 @@ def test_criterion_6_quickshift():
         if auto_k(X).k == 3:
             hits += 1
         k_n = int(np.ceil(900 ** (2 / 3)))
-        table = knn_table(X, k_n)
-        dens = knn_log_density(X, k_n, table=table)
-        counts = [len(cluster_cores(X, dens, k_n, b, table=table))
+        nbrs, radii = knn_table(X, k_n)
+        dens = knn_log_density(radii, X.shape[1])
+        counts = [len(cluster_cores(dens, nbrs, b))
                   for b in (0.5, 0.9, 0.99)]
         assert counts[0] >= counts[1] >= counts[2], f"seed {seed}: {counts}"
     assert hits >= 19  # >= 95% of 20 seeds

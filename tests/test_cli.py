@@ -165,6 +165,17 @@ def test_train_ocsvm_rejects_threshold_fpr(tmp_path, capsys):
     assert not (tmp_path / "m.bin").exists()
 
 
+@pytest.mark.parametrize("kind, flag", [("kjl", "--k"), ("nystrom", "--k"),
+                                        ("kjl", "--d"), ("nystrom", "--d")])
+def test_train_rejects_zero_k_or_d(tmp_path, capsys, kind, flag):
+    npath, _ = synth_pools(tmp_path)
+    rc = main(["train", "--features", str(npath), "--kind", kind, "--m", "20",
+               flag, "0", "--seed", "0", "--out", str(tmp_path / "m.bin")])
+    assert rc == 1
+    assert f"got {flag[2:]}=0" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_detect_zero_fpr_flags_nothing(tmp_path):
     npath, _ = synth_pools(tmp_path)
     model_path = tmp_path / "ocsvm.bin"

@@ -69,6 +69,19 @@ def test_train_nystrom_kind():
         train_detector(Xn, small_config(kind="rff"))
 
 
+@pytest.mark.parametrize("kind", ["kjl", "nystrom"])
+def test_power_of_two_scaling_leaves_scores_bit_identical(kind):
+    # the bandwidth quantile scales with the data, and scaling by 2^j is
+    # exact, so every kernel value and everything after it is unchanged
+    Xn, Xv = ring_data(400)
+    X_test = np.vstack([Xn[:50], Xv[:50]])
+    cfg = small_config(kind=kind)
+    want = detect_scores(train_detector(Xn, cfg), X_test)
+    for c in (2.0**-20, 0.25, 8.0, 2.0**30):
+        got = detect_scores(train_detector(c * Xn, cfg), c * X_test)
+        assert np.array_equal(got, want), c
+
+
 def test_detect_score_composition():
     Xn, Xv = ring_data(300)
     model = train_detector(Xn, small_config(k=2))

@@ -123,6 +123,9 @@ def test_fit_argument_errors():
         fit_kjl(X, 4, 5, 1.0)
     with pytest.raises(ValueError):
         fit_nystrom(X, 4, 2, -1.0)
+    for fit in (fit_nystrom, fit_kjl):
+        with pytest.raises(ValueError, match="got d=0"):
+            fit(X, 4, 0, 1.0)
 
 
 def test_embed_affine_in_projection():

@@ -12,7 +12,6 @@ from ocsketch.evaluate import (
     ExperimentProtocol,
     MethodConfig,
     auc,
-    default_config,
     emit_report,
     run_experiment,
     score_method,
@@ -70,13 +69,16 @@ def test_auc_empty_side():
 
 
 def test_default_configs():
-    assert default_config("kjl").h_quantile == 0.25
-    assert default_config("kjl").k == "auto"
-    assert default_config("ocsvm").nu == 0.5
-    cfg = default_config("nystrom")
+    assert MethodConfig(method="kjl").h_quantile == 0.25
+    assert MethodConfig(method="kjl").k == "auto"
+    assert MethodConfig(method="ocsvm").nu == 0.5
+    cfg = MethodConfig(method="nystrom")
     assert (cfg.m, cfg.d) == (100, 5)
-    with pytest.raises(ValueError):
-        default_config("svdd")
+    with pytest.raises(ValueError, match="unknown method 'svdd'"):
+        MethodConfig(method="svdd")
+    X, _ = synth_blobs(40, 1, 2, 1.0, seed=0)
+    with pytest.raises(ValueError, match="unknown method 'svdd'"):
+        run_experiment(X, X, ["kjl-qs", "svdd"])
 
 
 def test_grid_sizes():

@@ -9,6 +9,7 @@ from ocsketch.flows import (
     SAMP_SIZE,
     STATS_HEADER,
     assemble_flows,
+    canonical_key,
     iat_size_features,
     samp_size_features,
     stats_header_features,
@@ -34,6 +35,21 @@ def test_percentile_errors():
         percentile([], 0.5)
     with pytest.raises(ValueError):
         percentile([1], 0.0)
+
+
+# octets 9 / 10 and 99 / 100 order one way as integers and the other as strings
+_octet = st.one_of(st.sampled_from([0, 9, 10, 99, 100, 255]), st.integers(0, 255))
+_endpoint = st.tuples(st.tuples(_octet, _octet, _octet, _octet), st.sampled_from([9, 10, 80]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_endpoint, _endpoint)
+def test_canonical_key_orders_endpoints_by_octets(a, b):
+    (lo_ip, lo_port), (hi_ip, hi_port) = sorted([a, b])
+    want = (".".join(map(str, lo_ip)), lo_port, ".".join(map(str, hi_ip)), hi_port, "UDP")
+    for (src, sport), (dst, dport) in ((a, b), (b, a)):
+        rec = pkt(0, ".".join(map(str, src)), ".".join(map(str, dst)), sport, dport)
+        assert canonical_key(rec) == want
 
 
 def test_assemble_bidirectional():

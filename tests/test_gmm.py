@@ -237,6 +237,12 @@ def test_fit_k_exceeds_n():
         fit_em(np.zeros((3, 2)), 4)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_fit_k_below_one(k):
+    with pytest.raises(ValueError, match=f"got k={k}"):
+        fit_em(np.zeros((3, 2)), k)
+
+
 @st.composite
 def mixtures_and_points(draw):
     """k in 1..6, d in 1..8, covariances up to condition 1e8, some weights 0,

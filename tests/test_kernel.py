@@ -6,7 +6,6 @@ from scipy.spatial.distance import pdist
 
 from ocsketch import flows
 from ocsketch.kernel import (
-    gaussian_kernel,
     gram,
     nearest_rank,
     percentile,
@@ -19,25 +18,28 @@ from oracles import gaussian_gram
 
 def test_kernel_at_zero_distance():
     x = np.array([1.0, 2.0, 3.0])
-    assert gaussian_kernel(x, x, 0.7) == 1.0
+    for kernel in (gram, gaussian_gram):
+        assert kernel([x], [x], 0.7)[0, 0] == 1.0
 
 
 def test_kernel_closed_form():
     # ||x - y||^2 == h^2 gives exactly exp(-1)
-    assert gaussian_kernel([0.0], [2.0], 2.0) == pytest.approx(np.exp(-1), abs=1e-12)
+    for kernel in (gram, gaussian_gram):
+        assert kernel([[0.0]], [[2.0]], 2.0)[0, 0] == pytest.approx(np.exp(-1), abs=1e-12)
 
 
 def test_kernel_large_bandwidth_limit():
     x, y = np.array([0.0, 0.0]), np.array([1.0, 1.0])
     h = 1e6 * np.linalg.norm(x - y)
-    assert gaussian_kernel(x, y, h) == pytest.approx(1.0, abs=1e-9)
+    for kernel in (gram, gaussian_gram):
+        assert kernel([x], [y], h)[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_kernel_errors():
-    with pytest.raises(ValueError):
-        gaussian_kernel([0.0], [0.0, 1.0], 1.0)
-    with pytest.raises(ValueError):
-        gaussian_kernel([0.0], [1.0], 0.0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        gram([[0.0]], [[0.0, 1.0]], 1.0)
+    with pytest.raises(ValueError, match="bandwidth must be positive"):
+        gram([[0.0]], [[1.0]], 0.0)
 
 
 def test_quantile_bandwidth_every_rank_by_hand():
@@ -95,7 +97,7 @@ def test_gram_unit_diagonal_and_symmetry():
 
 def test_gram_1x1_reduces_to_kernel():
     x, y = np.array([0.5, 1.0]), np.array([-0.2, 0.3])
-    assert gram([x], [y], 1.3)[0, 0] == gaussian_kernel(x, y, 1.3)
+    assert gram([x], [y], 1.3)[0, 0] == gaussian_gram([x], [y], 1.3)[0, 0]
 
 
 def test_gram_matches_elementwise_oracle():
@@ -116,11 +118,9 @@ def test_gram_positive_semidefinite():
 
 def test_kernel_scale_invariance():
     rng = np.random.default_rng(5)
-    x, y = rng.standard_normal(3), rng.standard_normal(3)
+    X, Y = rng.standard_normal((4, 3)), rng.standard_normal((6, 3))
     for c in (0.1, 2.0, 40.0):
-        assert gaussian_kernel(c * x, c * y, c * 1.2) == pytest.approx(
-            gaussian_kernel(x, y, 1.2), rel=1e-12
-        )
+        assert gram(c * X, c * Y, c * 1.2) == pytest.approx(gram(X, Y, 1.2), rel=1e-12)
 
 
 def test_nearest_rank_by_hand():

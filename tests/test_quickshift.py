@@ -31,20 +31,20 @@ def two_blob_1d(seed=0, n_per=50, gap=100.0):
 
 def test_knn_log_density_by_hand():
     X = np.array([[0.0], [1.0], [3.0]])
-    dens = knn_log_density(X, 1)
+    dens = knn_log_density(knn_table(X, 1)[1], 1)
     assert np.allclose(dens, [0.0, 0.0, -np.log(2)], atol=1e-12)
 
 
 def test_knn_log_density_uniform_grid_interior():
     X = np.arange(20.0).reshape(-1, 1)
-    dens = knn_log_density(X, 2)
+    dens = knn_log_density(knn_table(X, 2)[1], 1)
     interior = dens[2:-2]
     assert np.allclose(interior, interior[0])
 
 
 def test_knn_log_density_duplicate_fallback():
     X = np.array([[0.0], [0.0], [1.0], [2.0]])
-    dens = knn_log_density(X, 1)
+    dens = knn_log_density(knn_table(X, 1)[1], 1)
     assert np.all(np.isfinite(dens))
     # duplicated pair uses radius 1e-3 * smallest positive -> highest density
     assert dens[0] == dens.max()
@@ -52,7 +52,7 @@ def test_knn_log_density_duplicate_fallback():
 
 def test_knn_log_density_all_identical():
     with pytest.raises(ValueError):
-        knn_log_density(np.zeros((5, 2)), 2)
+        knn_log_density(knn_table(np.zeros((5, 2)), 2)[1], 2)
 
 
 def test_knn_table_tie_break_by_index():
@@ -64,9 +64,9 @@ def test_knn_table_tie_break_by_index():
 def test_two_blobs_two_cores():
     X = two_blob_1d()
     k_n = int(np.ceil(len(X) ** (2 / 3)))
-    table = knn_table(X, k_n)
-    dens = knn_log_density(X, k_n, table=table)
-    cores = cluster_cores(X, dens, k_n, 0.9, table=table)
+    nbrs, radii = knn_table(X, k_n)
+    dens = knn_log_density(radii, 1)
+    cores = cluster_cores(dens, nbrs, 0.9)
     assert len(cores) == 2
 
 
@@ -74,17 +74,18 @@ def test_single_blob_one_core():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((100, 2))
     k_n = int(np.ceil(100 ** (2 / 3)))
-    dens = knn_log_density(X, k_n)
-    assert len(cluster_cores(X, dens, k_n, 0.9)) == 1
+    nbrs, radii = knn_table(X, k_n)
+    dens = knn_log_density(radii, 2)
+    assert len(cluster_cores(dens, nbrs, 0.9)) == 1
 
 
 def test_core_count_non_increasing_in_beta():
     for seed in range(5):
         X, _ = synth_blobs(300, 3, 2, 8.0, seed=seed)
         k_n = int(np.ceil(300 ** (2 / 3)))
-        table = knn_table(X, k_n)
-        dens = knn_log_density(X, k_n, table=table)
-        counts = [len(cluster_cores(X, dens, k_n, b, table=table))
+        nbrs, radii = knn_table(X, k_n)
+        dens = knn_log_density(radii, 2)
+        counts = [len(cluster_cores(dens, nbrs, b))
                   for b in (0.5, 0.9, 0.99)]
         assert counts[0] >= counts[1] >= counts[2]
 
@@ -92,8 +93,9 @@ def test_core_count_non_increasing_in_beta():
 def test_cores_are_disjoint():
     X, _ = synth_blobs(400, 4, 2, 6.0, seed=7)
     k_n = int(np.ceil(400 ** (2 / 3)))
-    dens = knn_log_density(X, k_n)
-    cores = cluster_cores(X, dens, k_n, 0.9)
+    nbrs, radii = knn_table(X, k_n)
+    dens = knn_log_density(radii, 2)
+    cores = cluster_cores(dens, nbrs, 0.9)
     all_pts = np.concatenate(cores)
     assert len(all_pts) == len(set(all_pts.tolist()))
 
@@ -101,10 +103,10 @@ def test_cores_are_disjoint():
 def test_assign_labels_partition():
     X = two_blob_1d(seed=2)
     k_n = int(np.ceil(len(X) ** (2 / 3)))
-    table = knn_table(X, k_n)
-    dens = knn_log_density(X, k_n, table=table)
-    cores = cluster_cores(X, dens, k_n, 0.9, table=table)
-    labels = quickshift_assign(X, dens, cores, k_n, table=table)
+    nbrs, radii = knn_table(X, k_n)
+    dens = knn_log_density(radii, 1)
+    cores = cluster_cores(dens, nbrs, 0.9)
+    labels = quickshift_assign(X, dens, cores, nbrs)
     assert np.all(labels >= 0)
     # every point in the right half joins the right blob's core
     assert len(np.unique(labels[:50])) == 1
@@ -115,9 +117,10 @@ def test_assign_labels_partition():
 def test_assign_core_points_keep_label():
     X = two_blob_1d(seed=3)
     k_n = 20
-    dens = knn_log_density(X, k_n)
-    cores = cluster_cores(X, dens, k_n, 0.9)
-    labels = quickshift_assign(X, dens, cores, k_n)
+    nbrs, radii = knn_table(X, k_n)
+    dens = knn_log_density(radii, 1)
+    cores = cluster_cores(dens, nbrs, 0.9)
+    labels = quickshift_assign(X, dens, cores, nbrs)
     for cid, members in enumerate(cores):
         assert np.all(labels[members] == cid)
 
@@ -127,7 +130,7 @@ def test_assign_single_hop_to_adjacent_core():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     dens = np.array([3.0, 2.0, 1.0, 0.0])
     cores = [np.array([0, 1, 2])]
-    labels = quickshift_assign(X, dens, cores, 2)
+    labels = quickshift_assign(X, dens, cores, knn_table(X, 2)[0])
     assert labels[3] == 0
 
 
@@ -236,13 +239,13 @@ def test_knn_table_matches_argsort_oracle(case):
 @given(point_sets(), st.sampled_from([0.5, 0.9, 0.99]))
 def test_cluster_cores_match_sweep_oracle(case, beta):
     X, k_n = case
-    table = knn_table(X, k_n)
+    nbrs, radii = knn_table(X, k_n)
     try:
-        dens = knn_log_density(X, k_n, table=table)
+        dens = knn_log_density(radii, X.shape[1])
     except ValueError:  # every point has k_n exact duplicates
         return
-    cores = cluster_cores(X, dens, k_n, beta, table=table)
-    want = cluster_cores_sweep(dens, table[0], beta)
+    cores = cluster_cores(dens, nbrs, beta)
+    want = cluster_cores_sweep(dens, nbrs, beta)
     assert len(cores) == len(want)
     for got, expected in zip(cores, want):
         assert got.dtype == expected.dtype
@@ -354,5 +357,5 @@ def test_merge_events_half_roots_dense_cross_edges():
 @pytest.mark.parametrize("seed", range(3))
 def test_merge_events_k_n_all_others(seed):
     X, _ = synth_blobs(40, 2, 2, 6.0, seed=seed)
-    dens = knn_log_density(X, len(X) - 1)
-    assert_same_events(knn_table(X, len(X) - 1)[0], processing_order(dens))
+    nbrs, radii = knn_table(X, len(X) - 1)
+    assert_same_events(nbrs, processing_order(knn_log_density(radii, 2)))
