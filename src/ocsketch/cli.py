@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import struct
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ from .detector import (
     score_threshold,
     serialize,
 )
-from .pcap import parse_packet_csv
+from .pcap import PCAP_MAGICS, parse_packet_csv, parse_pcap
 
 
 def write_feature_csv(path, matrix, labels=None):
@@ -78,10 +79,24 @@ def _feature_row(cells, names, where):
     return row
 
 
+def _read_packets(path):
+    """The packets of a classic libpcap capture or of a packet CSV, told
+    apart by the libpcap magic at the start of the file."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if len(data) >= 4 and struct.unpack_from("<I", data)[0] in PCAP_MAGICS:
+        return parse_pcap(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: neither a libpcap capture (no pcap magic) nor a "
+                         f"UTF-8 packet CSV (byte 0x{data[exc.start]:02x} at offset "
+                         f"{exc.start})") from None
+    return parse_packet_csv(text)
+
+
 def _cmd_featurize(args):
-    with open(args.infile) as f:
-        records = parse_packet_csv(f.read())
-    flows = fl.truncate_flows(fl.assemble_flows(records), args.truncate_q)
+    flows = fl.truncate_flows(fl.assemble_flows(_read_packets(args.infile)), args.truncate_q)
     if args.feature == fl.IAT_SIZE:
         matrix = fl.iat_size_features(flows)
     elif args.feature == fl.STATS_HEADER:
@@ -186,8 +201,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("featurize", help="packet CSV -> flow feature CSV")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("featurize", help="pcap capture or packet CSV -> flow feature CSV")
+    p.add_argument("--in", dest="infile", required=True,
+                   help="classic libpcap capture or packet CSV")
     p.add_argument("--feature", required=True,
                    choices=[fl.IAT_SIZE, fl.STATS_HEADER, fl.SAMP_SIZE])
     p.add_argument("--samp-q", type=float, default=0.9,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .detector import AUTO, DetectorConfig, DetectorModel, detect_scores, serialize, train_detector
 from .embedding import KJL, NYSTROM
-from .kernel import quantile_bandwidth
+from .kernel import quantile_bandwidth, quantile_bandwidths
 from .ocsvm import OcsvmModel, train_ocsvm
 from .ocsvm import score as ocsvm_score
 
@@ -97,14 +97,18 @@ def tuning_grid(method):
     ]
 
 
-def train_method(X_train, cfg, seed=None):
-    """Train one method on X_train; returns the fitted model."""
+def train_method(X_train, cfg, seed=None, h=None):
+    """Train one method on X_train; returns the fitted model.
+
+    h, when given, is the bandwidth at cfg.h_quantile, already resolved.
+    """
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     if cfg.method == OCSVM:
-        h = quantile_bandwidth(X_train, cfg.h_quantile)
+        if h is None:
+            h = quantile_bandwidth(X_train, cfg.h_quantile)
         return train_ocsvm(X_train, h, nu=cfg.nu, seed=seed)
     kind = NYSTROM if cfg.method.startswith("nystrom") else KJL
-    dc = DetectorConfig(kind=kind, m=cfg.m, d=cfg.d, h_quantile=cfg.h_quantile,
+    dc = DetectorConfig(kind=kind, m=cfg.m, d=cfg.d, h=h, h_quantile=cfg.h_quantile,
                         k=cfg.k, seed=seed)
     return train_detector(X_train, dc)
 
@@ -120,14 +124,17 @@ def tune_minimal(train, val_normal, val_novel, method, grid=None, seed=None):
     """Pick the config maximizing validation AUC.
 
     Ties go to the earlier grid entry (smaller h-quantile, then smaller k).
+    Every entry's bandwidth comes from one set of pairwise distances.
     """
     if grid is None:
         grid = tuning_grid(method)
     if not grid:
         raise ValueError("empty tuning grid")
+    train = np.atleast_2d(np.asarray(train, dtype=float))
+    bandwidths = quantile_bandwidths(train, [cfg.h_quantile for cfg in grid])
     best_cfg, best_auc = None, -1.0
-    for cfg in grid:
-        model = train_method(train, cfg, seed=seed)
+    for cfg, h in zip(grid, bandwidths):
+        model = train_method(train, cfg, seed=seed, h=h)
         a = auc(score_method(model, val_normal), score_method(model, val_novel))
         if a > best_auc:
             best_cfg, best_auc = cfg, a

@@ -8,15 +8,18 @@ Three feature families are produced from truncated flows:
                   mean TTL, and the eight TCP flag counts.
 * SAMP_SIZE    -- byte counts over L equal time bins whose width comes from a
                   duration quantile; D = L.
+
+A flow is a segment of one flow-ordered PacketTable: assemble_flows groups
+the packets with one sort, and truncation and the three families work on
+whole columns by segment.
 """
 
-from dataclasses import dataclass, field
-from socket import inet_aton
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import percentile
-from .pcap import PacketRecord
+from .kernel import nearest_rank, percentile
+from .pcap import PacketTable, _ip_str
 
 IAT_SIZE = "iat_size"
 STATS_HEADER = "stats_header"
@@ -28,25 +31,45 @@ TCP_FLAG_BITS = (
     ("ACK", 0x10), ("URG", 0x20), ("ECE", 0x40), ("CWR", 0x80),
 )
 
-_FLAG_MASKS = np.array([bit for _name, bit in TCP_FLAG_BITS])
-
 STATS_HEADER_DIM = 19
 
 
-@dataclass
 class Flow:
-    """Time-ordered packets under one canonical bidirectional 5-tuple key."""
+    """Time-ordered packets under one canonical bidirectional 5-tuple key.
 
-    key: tuple  # (ip_lo, port_lo, ip_hi, port_hi, proto)
-    packets: list = field(default_factory=list)
+    The packets are rows start:stop of `table`, and `packets` is that slice
+    of the table, so their PacketRecords are built only when read.
+    Flow(key, records) keeps a list of records as a table of its own.
+    """
+
+    __slots__ = ("key", "table", "start", "stop")
+
+    def __init__(self, key, packets=(), start=0, stop=None):
+        self.key = key  # (ip_lo, port_lo, ip_hi, port_hi, proto)
+        self.table = packets if isinstance(packets, PacketTable) \
+            else PacketTable.from_records(packets)
+        self.start = start
+        self.stop = len(self.table) if stop is None else stop
+
+    @property
+    def packets(self):
+        return self.table[self.start:self.stop]
 
     @property
     def duration_us(self):
-        return self.packets[-1].timestamp_us - self.packets[0].timestamp_us
+        ts = self.table.timestamp_us
+        return int(ts[self.stop - 1] - ts[self.start])
 
     def flow_id(self):
         ip_lo, port_lo, ip_hi, port_hi, proto = self.key
         return f"{ip_lo}:{port_lo}-{ip_hi}:{port_hi}-{proto}"
+
+    def __eq__(self, other):
+        if not isinstance(other, Flow):
+            return NotImplemented
+        return self.key == other.key and self.packets == other.packets
+
+    __hash__ = None
 
 
 @dataclass
@@ -66,33 +89,69 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def canonical_key(record: PacketRecord):
-    """Direction-independent 5-tuple: endpoints ordered by (address, port).
+def assemble_flows(packets):
+    """Partition packets (a PacketTable, or PacketRecords) into bidirectional flows.
 
-    inet_aton's 4 bytes order as the octets do, for the canonical dotted
-    quads that parse_pcap and parse_packet_csv produce.
+    A flow's key orders its two endpoints by (address, port), an address by
+    its octets. Flows are emitted in order of their first packet in the
+    input; within a flow packets are in timestamp order, ties in input order.
+    All flows are segments of one flow-ordered table.
     """
-    src, dst = record.src_ip, record.dst_ip
-    if (inet_aton(src), record.src_port) <= (inet_aton(dst), record.dst_port):
-        return (src, record.src_port, dst, record.dst_port, record.proto)
-    return (dst, record.dst_port, src, record.src_port, record.proto)
+    t = packets if isinstance(packets, PacketTable) else PacketTable.from_records(packets)
+    n = len(t)
+    if n == 0:
+        return []
+    src, dst = t.src_ip.astype(np.uint64), t.dst_ip.astype(np.uint64)
+    sport, dport = t.src_port.astype(np.uint64), t.dst_port.astype(np.uint64)
+    src_first = (src < dst) | ((src == dst) & (sport <= dport))
+    addresses = np.where(src_first, src << 32 | dst, dst << 32 | src)
+    ports = np.where(src_first, sport << 17 | dport << 1, dport << 17 | sport << 1) | t.is_tcp
+    order = np.lexsort((t.timestamp_us, ports, addresses))  # stable
+    addresses, ports = addresses[order], ports[order]
+    new_key = np.ones(n, dtype=bool)
+    new_key[1:] = (addresses[1:] != addresses[:-1]) | (ports[1:] != ports[:-1])
+    group_starts = np.flatnonzero(new_key)
+    # flows are the groups in order of their first input row
+    by_first = np.argsort(np.minimum.reduceat(order, group_starts))
+    lengths = np.diff(group_starts, append=n)[by_first]
+    firsts = group_starts[by_first]  # each flow's first position in `order`
+    starts = np.cumsum(lengths) - lengths
+    table = t[order[np.repeat(firsts - starts, lengths) + np.arange(n)]]
+
+    keys = zip((addresses[firsts] >> 32).tolist(), (ports[firsts] >> 17).tolist(),
+               (addresses[firsts] & 0xFFFFFFFF).tolist(),
+               (ports[firsts] >> 1 & 0xFFFF).tolist(), (ports[firsts] & 1).tolist())
+    return [Flow((_ip_str(ip_lo), port_lo, _ip_str(ip_hi), port_hi, "TCP" if tcp else "UDP"),
+                 table, start, start + length)
+            for (ip_lo, port_lo, ip_hi, port_hi, tcp), start, length
+            in zip(keys, starts.tolist(), lengths.tolist())]
 
 
-def assemble_flows(records):
-    """Partition records into bidirectional flows.
+def _segments(flows):
+    """(table, starts, lengths): flow i's packets are table rows
+    starts[i]:starts[i] + lengths[i], and the flows tile the table in order.
 
-    Flows are emitted in order of their first packet; within a flow the
-    original order is kept on timestamp ties (stable sort).
+    Flows from assemble_flows or truncate_flows already tile their shared
+    table; any other list of flows is copied into a new one.
     """
-    flows = {}  # insertion order is first-packet order
-    for rec in records:
-        key = canonical_key(rec)
-        if key not in flows:
-            flows[key] = Flow(key)
-        flows[key].packets.append(rec)
-    for f in flows.values():
-        f.packets.sort(key=lambda r: r.timestamp_us)
-    return list(flows.values())
+    table = flows[0].table
+    starts = np.array([f.start for f in flows], dtype=np.int64)
+    lengths = np.array([f.stop for f in flows], dtype=np.int64) - starts
+    ends = starts + lengths
+    if not (starts[0] == 0 and ends[-1] == len(table) and np.array_equal(starts[1:], ends[:-1])
+            and all(f.table is table for f in flows)):
+        table = PacketTable.concat([f.table[f.start:f.stop] for f in flows])
+        starts = np.cumsum(lengths) - lengths
+    return table, starts, lengths
+
+
+def _flow_of_row(lengths):
+    """Each row's flow index."""
+    return np.repeat(np.arange(len(lengths)), lengths)
+
+
+def _durations(ts, starts, lengths):
+    return ts[starts + lengths - 1] - ts[starts]
 
 
 def truncate_flows(flows, q=0.9):
@@ -102,18 +161,20 @@ def truncate_flows(flows, q=0.9):
     """
     if not flows:
         raise ValueError("truncate_flows needs at least one flow")
-    cutoff = percentile([f.duration_us for f in flows], q)
-    out = []
-    for f in flows:
-        start = f.packets[0].timestamp_us
-        kept = [p for p in f.packets if p.timestamp_us <= start + cutoff]
-        out.append(Flow(f.key, kept))
-    return out
+    table, starts, lengths = _segments(flows)
+    ts = table.timestamp_us
+    cutoff = percentile(_durations(ts, starts, lengths).tolist(), q)
+    keep = ts - np.repeat(ts[starts], lengths) <= cutoff
+    kept = np.add.reduceat(keep.astype(np.int64), starts)
+    table = table[keep]
+    kept_starts = np.cumsum(kept) - kept
+    return [Flow(f.key, table, start, start + count)
+            for f, start, count in zip(flows, kept_starts.tolist(), kept.tolist())]
 
 
-def _packet_budget(flows):
+def _packet_budget(lengths):
     """Dataset-wide packet count budget L: the 0.9 percentile of flow lengths."""
-    return percentile([len(f.packets) for f in flows], 0.9)
+    return percentile(lengths.tolist(), 0.9)
 
 
 def iat_size_features(flows):
@@ -125,14 +186,22 @@ def iat_size_features(flows):
     """
     if not flows:
         raise ValueError("no flows to featurize")
-    L = _packet_budget(flows)
-    D = 2 * L - 1
-    X = np.zeros((len(flows), D))
-    for i, f in enumerate(flows):
-        pkts = f.packets[:L]
-        X[i, : len(pkts) - 1] = np.diff([p.timestamp_us for p in pkts])
-        X[i, L - 1 : L - 1 + len(pkts)] = [p.size_bytes for p in pkts]
+    table, starts, lengths = _segments(flows)
+    L = _packet_budget(lengths)
+    flow = _flow_of_row(lengths)
+    pos = np.arange(len(flow)) - starts[flow]  # each row's position within its flow
+    X = np.zeros((len(flows), 2 * L - 1))
+    head = pos < L
+    X[flow[head], L - 1 + pos[head]] = table.size_bytes[head]
+    gap = head[1:] & (pos[1:] > 0)  # row r + 1 and its predecessor r in one flow
+    X[flow[1:][gap], pos[1:][gap] - 1] = np.diff(table.timestamp_us)[gap]
     return FeatureMatrix(X, IAT_SIZE, [f.flow_id() for f in flows])
+
+
+def _nearest_ranks(lengths, q):
+    """nearest_rank(length, q) of each flow, evaluated once per distinct length."""
+    distinct, which = np.unique(lengths, return_inverse=True)
+    return np.array([nearest_rank(c, q) for c in distinct.tolist()], dtype=np.int64)[which]
 
 
 def stats_header_features(flows):
@@ -144,24 +213,29 @@ def stats_header_features(flows):
     """
     if not flows:
         raise ValueError("no flows to featurize")
-    X = np.zeros((len(flows), STATS_HEADER_DIM))
-    for i, f in enumerate(flows):
-        sizes = np.array([p.size_bytes for p in f.packets], dtype=float)
-        duration_s = f.duration_us / 1e6
-        rate_denom = max(f.duration_us, 1) / 1e6
-        X[i, 0] = duration_s
-        X[i, 1] = len(f.packets) / rate_denom
-        X[i, 2] = sizes.sum() / rate_denom
-        X[i, 3] = sizes.mean()
-        X[i, 4] = sizes.std()
-        X[i, 5] = percentile(sizes, 0.25)
-        X[i, 6] = percentile(sizes, 0.5)
-        X[i, 7] = percentile(sizes, 0.75)
-        X[i, 8] = sizes.min()
-        X[i, 9] = sizes.max()
-        X[i, 10] = np.mean([p.ttl for p in f.packets])
-        flags = np.array([p.tcp_flags for p in f.packets])
-        X[i, 11:] = np.count_nonzero(flags[:, None] & _FLAG_MASKS, axis=0)
+    table, starts, lengths = _segments(flows)
+    n = len(flows)
+    flow = _flow_of_row(lengths)
+    sizes = table.size_bytes.astype(float)
+    duration_us = _durations(table.timestamp_us, starts, lengths)
+    rate_denom = np.maximum(duration_us, 1) / 1e6
+    # sums of integers below 2**53: exact in any order
+    size_sums = np.bincount(flow, weights=sizes, minlength=n)
+    X = np.zeros((n, STATS_HEADER_DIM))
+    X[:, 0] = duration_us / 1e6
+    X[:, 1] = lengths / rate_denom
+    X[:, 2] = size_sums / rate_denom
+    X[:, 3] = size_sums / lengths
+    # numpy's pairwise sum inside std: a segment sum would round differently
+    X[:, 4] = [sizes[s:e].std() for s, e in zip(starts.tolist(), (starts + lengths).tolist())]
+    ranked = sizes[np.lexsort((sizes, flow))]  # each flow's sizes, ascending
+    for col, q in ((5, 0.25), (6, 0.5), (7, 0.75)):
+        X[:, col] = ranked[starts + _nearest_ranks(lengths, q) - 1]
+    X[:, 8] = ranked[starts]
+    X[:, 9] = ranked[starts + lengths - 1]
+    X[:, 10] = np.bincount(flow, weights=table.ttl, minlength=n) / lengths
+    for j, (_name, bit) in enumerate(TCP_FLAG_BITS):
+        X[:, 11 + j] = np.bincount(flow, weights=(table.tcp_flags & bit) != 0, minlength=n)
     return FeatureMatrix(X, STATS_HEADER, [f.flow_id() for f in flows])
 
 
@@ -174,13 +248,14 @@ def samp_size_features(flows, q=0.9):
     """
     if not flows:
         raise ValueError("no flows to featurize")
-    L = _packet_budget(flows)
-    delta = max(percentile([f.duration_us for f in flows], q) / L, 1.0)
-    X = np.zeros((len(flows), L))
-    for i, f in enumerate(flows):
-        start = f.packets[0].timestamp_us
-        for p in f.packets:
-            b = int((p.timestamp_us - start) / delta)
-            if b < L:
-                X[i, b] += p.size_bytes
-    return FeatureMatrix(X, SAMP_SIZE, [f.flow_id() for f in flows])
+    table, starts, lengths = _segments(flows)
+    n = len(flows)
+    L = _packet_budget(lengths)
+    ts = table.timestamp_us
+    delta = max(percentile(_durations(ts, starts, lengths).tolist(), q) / L, 1.0)
+    flow = _flow_of_row(lengths)
+    offset = (ts - np.repeat(ts[starts], lengths)) / delta
+    inside = offset < L  # the bin int(offset) exists
+    bins = flow[inside] * L + offset[inside].astype(np.int64)
+    X = np.bincount(bins, weights=table.size_bytes[inside], minlength=n * L)
+    return FeatureMatrix(X.reshape(n, L), SAMP_SIZE, [f.flow_id() for f in flows])

@@ -50,19 +50,25 @@ def quantile_bandwidth(X, q):
     -------
     float > 0
     """
+    return quantile_bandwidths(X, [q])[0]
+
+
+def quantile_bandwidths(X, qs):
+    """quantile_bandwidth of X at each of the quantiles qs, from one set of
+    pairwise distances and one partition; returns a list of floats."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] < 2:
         raise ValueError(f"need at least 2 points, got {X.shape[0]}")
     dists = pdist(X)
-    rank = nearest_rank(len(dists), q) - 1
-    dists.partition(rank)  # in place: a copy would double the n(n-1)/2 floats
-    h = float(dists[rank])
-    if h == 0.0:
+    ranks = [nearest_rank(len(dists), q) - 1 for q in qs]
+    dists.partition(sorted(set(ranks)))  # in place: a copy would double the n(n-1)/2 floats
+    hs = [float(dists[rank]) for rank in ranks]
+    if 0.0 in hs:
         positive = dists[dists > 0]
         if positive.size == 0:
             raise ValueError("degenerate dataset: all points identical")
-        h = float(positive.min())
-    return h
+        hs = [h or float(positive.min()) for h in hs]
+    return hs
 
 
 def gram(X, Y, h):

@@ -7,21 +7,24 @@ directly or factor every covariance on every call, the kNN oracle argsorts
 whole distance rows, the merge-event oracle runs one minimum spanning tree
 over every earlier-neighbor edge, the core oracle runs the union-find
 sweep over every kNN edge, the pcap oracle decodes a frame one field at a
-time and the flow-feature oracles fill each row one packet at a time.
+time, the flow oracles group PacketRecords in a dict under a per-packet key
+and truncate flow by flow, and the flow-feature oracles fill each row one
+packet at a time.
 """
 
 import itertools
 import struct
+from socket import inet_aton
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 from scipy.special import logsumexp
 
-from ocsketch.flows import STATS_HEADER_DIM, TCP_FLAG_BITS, _packet_budget
-from ocsketch.kernel import gram, percentile, require_finite
+from ocsketch.flows import STATS_HEADER_DIM, TCP_FLAG_BITS, Flow
+from ocsketch.kernel import gram, nearest_rank, percentile, require_finite
 from ocsketch.pcap import PacketRecord, PcapParseError
 
 
@@ -33,6 +36,18 @@ def gaussian_gram(X, Y, h):
         for j, y in enumerate(Y):
             G[i, j] = np.exp(-np.sum((x - y) ** 2) / h**2)
     return G
+
+
+def quantile_bandwidth_one(X, q):
+    """kernel.quantile_bandwidth as one pdist and one partition per quantile."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    dists = pdist(X)
+    rank = nearest_rank(len(dists), q) - 1
+    dists.partition(rank)
+    h = float(dists[rank])
+    if h == 0.0:
+        h = float(dists[dists > 0].min())
+    return h
 
 
 def ocsvm_qp(Q, nu):
@@ -347,6 +362,46 @@ def _ip_str(raw):
     return ".".join(str(b) for b in raw)
 
 
+def canonical_key(record):
+    """Direction-independent 5-tuple: endpoints ordered by (address, port).
+
+    inet_aton's 4 bytes order as the octets do, for the canonical dotted
+    quads that parse_pcap and parse_packet_csv produce.
+    """
+    src, dst = record.src_ip, record.dst_ip
+    if (inet_aton(src), record.src_port) <= (inet_aton(dst), record.dst_port):
+        return (src, record.src_port, dst, record.dst_port, record.proto)
+    return (dst, record.dst_port, src, record.src_port, record.proto)
+
+
+def assemble_flows_dict(records):
+    """flows.assemble_flows: a dict from canonical_key to a list of records.
+
+    Flows come out in order of their first packet; each flow's list is
+    sorted stably by timestamp.
+    """
+    groups = {}  # insertion order is first-packet order
+    for rec in records:
+        groups.setdefault(canonical_key(rec), []).append(rec)
+    return [Flow(key, sorted(pkts, key=lambda r: r.timestamp_us))
+            for key, pkts in groups.items()]
+
+
+def truncate_flows_lists(flows, q=0.9):
+    """flows.truncate_flows, one list comprehension per flow."""
+    cutoff = percentile([f.duration_us for f in flows], q)
+    out = []
+    for f in flows:
+        pkts = f.packets
+        start = pkts[0].timestamp_us
+        out.append(Flow(f.key, [p for p in pkts if p.timestamp_us <= start + cutoff]))
+    return out
+
+
+def _packet_budget(flows):
+    return percentile([len(f.packets) for f in flows], 0.9)
+
+
 def iat_size_loops(flows):
     """flows.iat_size_features' values, filled one packet at a time."""
     L = _packet_budget(flows)
@@ -365,11 +420,12 @@ def stats_header_loops(flows):
     """flows.stats_header_features' values, flags counted one bit at a time."""
     X = np.zeros((len(flows), STATS_HEADER_DIM))
     for i, f in enumerate(flows):
-        sizes = np.array([p.size_bytes for p in f.packets], dtype=float)
+        pkts = f.packets
+        sizes = np.array([p.size_bytes for p in pkts], dtype=float)
         duration_s = f.duration_us / 1e6
         rate_denom = max(f.duration_us, 1) / 1e6
         X[i, 0] = duration_s
-        X[i, 1] = len(f.packets) / rate_denom
+        X[i, 1] = len(pkts) / rate_denom
         X[i, 2] = sizes.sum() / rate_denom
         X[i, 3] = sizes.mean()
         X[i, 4] = sizes.std()
@@ -378,7 +434,22 @@ def stats_header_loops(flows):
         X[i, 7] = percentile(sizes, 0.75)
         X[i, 8] = sizes.min()
         X[i, 9] = sizes.max()
-        X[i, 10] = np.mean([p.ttl for p in f.packets])
+        X[i, 10] = np.mean([p.ttl for p in pkts])
         for j, (_name, bit) in enumerate(TCP_FLAG_BITS):
-            X[i, 11 + j] = sum(1 for p in f.packets if p.tcp_flags & bit)
+            X[i, 11 + j] = sum(1 for p in pkts if p.tcp_flags & bit)
+    return X
+
+
+def samp_size_loops(flows, q=0.9):
+    """flows.samp_size_features' values, binned one packet at a time."""
+    L = _packet_budget(flows)
+    delta = max(percentile([f.duration_us for f in flows], q) / L, 1.0)
+    X = np.zeros((len(flows), L))
+    for i, f in enumerate(flows):
+        pkts = f.packets
+        start = pkts[0].timestamp_us
+        for p in pkts:
+            b = int((p.timestamp_us - start) / delta)
+            if b < L:
+                X[i, b] += p.size_bytes
     return X

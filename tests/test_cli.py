@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from ocsketch.cli import main, read_feature_csv
-from ocsketch.pcap import CSV_HEADER
+from ocsketch.pcap import CSV_HEADER, parse_pcap, write_packet_csv
+from test_pcap import snapped_capture
 
 
 def packets_csv(tmp_path):
@@ -52,6 +53,33 @@ def test_featurize_bad_input(tmp_path, capsys):
     assert main(["featurize", "--in", str(bad), "--feature", "iat_size",
                  "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["iat_size", "stats_header", "samp_size"])
+def test_featurize_pcap_matches_its_packet_csv(tmp_path, kind):
+    cap = snapped_capture(3, n_packets=40)
+    pcap_path, csv_path = tmp_path / "capture.pcap", tmp_path / "packets.csv"
+    pcap_path.write_bytes(cap)
+    csv_path.write_text(write_packet_csv(parse_pcap(cap)))
+    outs = []
+    for src in (pcap_path, csv_path):
+        out = tmp_path / f"{src.stem}.{kind}.csv"
+        assert main(["featurize", "--in", str(src), "--feature", kind, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) > 2
+
+
+def test_featurize_rejects_binary_that_is_neither_format(tmp_path, capsys):
+    bad = tmp_path / "random.bin"
+    bad.write_bytes(bytes([0x89, 0x50, 0x4E, 0x47, 0xFF, 0x00, 0xFE]))
+    out = tmp_path / "out.csv"
+    assert main(["featurize", "--in", str(bad), "--feature", "iat_size",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "neither a libpcap capture (no pcap magic) nor a UTF-8 packet CSV" in err
+    assert "byte 0x89 at offset 0" in err
+    assert not out.exists()
 
 
 def synth_pools(tmp_path):

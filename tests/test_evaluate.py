@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ocsketch.detector import serialize
 from ocsketch.evaluate import (
     H_QUANTILE_GRID,
     K_GRID,
@@ -22,7 +23,7 @@ from ocsketch.evaluate import (
     tuning_grid,
 )
 
-from oracles import pairwise_auc
+from oracles import pairwise_auc, quantile_bandwidth_one
 
 
 def test_auc_perfect_separation():
@@ -108,6 +109,22 @@ def test_tune_minimal_matches_exhaustive_re_evaluation():
         m = train_method(train, cfg, seed=5)
         scores.append(auc(score_method(m, vn), score_method(m, vv)))
     assert best.h_quantile == grid[int(np.argmax(scores))].h_quantile
+
+
+@pytest.mark.parametrize("method", ["ocsvm", "kjl-qs", "nystrom", "nystrom-qs"])
+def test_tuning_bandwidths_train_the_models_of_per_config_bandwidths(method):
+    X, y = synth_cluster_in_cluster(700, seed=8)
+    train, vn, vv = X[y == 0][:200], X[y == 0][200:260], X[y == 1][:60]
+    grid = [cfg for cfg in tuning_grid(method) if cfg.k in (1, 4, "auto")][::3]
+    best, best_auc = None, -1.0
+    for cfg in grid:
+        h = quantile_bandwidth_one(train, cfg.h_quantile)
+        model = train_method(train, cfg, seed=2, h=h)
+        assert serialize(model) == serialize(train_method(train, cfg, seed=2))
+        a = auc(score_method(model, vn), score_method(model, vv))
+        if a > best_auc:
+            best, best_auc = cfg, a
+    assert tune_minimal(train, vn, vv, method, grid=grid, seed=2) is best
 
 
 def small_pools(seed=6):

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import iat_size_loops, stats_header_loops
+from oracles import canonical_key, iat_size_loops, samp_size_loops, stats_header_loops
 from ocsketch.flows import (
     IAT_SIZE,
     SAMP_SIZE,
     STATS_HEADER,
     assemble_flows,
-    canonical_key,
     iat_size_features,
     samp_size_features,
     stats_header_features,
@@ -50,6 +49,7 @@ def test_canonical_key_orders_endpoints_by_octets(a, b):
     for (src, sport), (dst, dport) in ((a, b), (b, a)):
         rec = pkt(0, ".".join(map(str, src)), ".".join(map(str, dst)), sport, dport)
         assert canonical_key(rec) == want
+        assert assemble_flows([rec])[0].key == want
 
 
 def test_assemble_bidirectional():
@@ -237,3 +237,4 @@ def test_features_match_packet_loops(specs):
     flows = assemble_flows(records)
     assert np.array_equal(iat_size_features(flows).values, iat_size_loops(flows))
     assert np.array_equal(stats_header_features(flows).values, stats_header_loops(flows))
+    assert np.array_equal(samp_size_features(flows).values, samp_size_loops(flows))

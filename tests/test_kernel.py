@@ -10,10 +10,11 @@ from ocsketch.kernel import (
     nearest_rank,
     percentile,
     quantile_bandwidth,
+    quantile_bandwidths,
     require_finite,
 )
 
-from oracles import gaussian_gram
+from oracles import gaussian_gram, quantile_bandwidth_one
 
 
 def test_kernel_at_zero_distance():
@@ -85,6 +86,20 @@ def test_quantile_bandwidth_scales_linearly():
     for q in (0.1, 0.5, 0.95):
         h = quantile_bandwidth(X, q)
         assert quantile_bandwidth(3.5 * X, q) == pytest.approx(3.5 * h, rel=1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(2, 40), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from([1e-6, 0.01, 0.1, 0.25, 0.5, 0.9, 0.95, 1.0]), min_size=1,
+                max_size=12))
+def test_quantile_bandwidths_match_one_partition_per_quantile(n, levels, seed, qs):
+    # integer coordinates on few levels: many tied and zero distances
+    X = np.random.default_rng(seed).integers(0, levels + 1, size=(n, 2)).astype(float)
+    if np.all(X == X[0]):
+        X[0, 0] += 1.0
+    want = [quantile_bandwidth_one(X, q) for q in qs]
+    assert quantile_bandwidths(X, qs) == want
+    assert [quantile_bandwidth(X, q) for q in qs] == want
 
 
 def test_gram_unit_diagonal_and_symmetry():

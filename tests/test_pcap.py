@@ -5,7 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import parse_pcap_fieldwise
+from oracles import (
+    assemble_flows_dict,
+    iat_size_loops,
+    parse_pcap_fieldwise,
+    samp_size_loops,
+    stats_header_loops,
+    truncate_flows_lists,
+)
+from ocsketch.flows import (
+    assemble_flows,
+    iat_size_features,
+    samp_size_features,
+    stats_header_features,
+    truncate_flows,
+)
 from ocsketch.pcap import (
     CSV_HEADER,
     PacketRecord,
@@ -182,6 +196,13 @@ def test_csv_bad_field_names_line():
         parse_packet_csv(CSV_HEADER + "\nnot_a_number,10.0.0.1,53,10.0.0.2,4000,UDP,60,64,0\n")
     with pytest.raises(ValueError, match="line 1"):
         parse_packet_csv("wrong,header\n")
+    # the table's fixed-width columns: an IPv4 total length and a signed 64-bit timestamp
+    with pytest.raises(ValueError, match="line 2: size_bytes above IPv4 maximum"):
+        parse_packet_csv(CSV_HEADER + "\n0,10.0.0.1,53,10.0.0.2,4000,UDP,65536,64,0\n")
+    with pytest.raises(ValueError, match="line 2: timestamp above"):
+        parse_packet_csv(CSV_HEADER + f"\n{2**63},10.0.0.1,53,10.0.0.2,4000,UDP,60,64,0\n")
+    assert parse_packet_csv(CSV_HEADER + f"\n{2**63 - 1},10.0.0.1,53,10.0.0.2,4000,UDP,65535,64,0\n")[0] \
+        == PacketRecord(2**63 - 1, "10.0.0.1", "10.0.0.2", 53, 4000, "UDP", 65535, 64, 0)
 
 
 def random_record(rng):
@@ -300,3 +321,61 @@ def test_damaged_capture_parses_or_raises_parse_error(seed, linktype, data):
         assert isinstance(got, str) or all(isinstance(r, PacketRecord) for r in got)
     else:
         assert got == f"unsupported link type {declared}: only Ethernet (1) is read"
+
+
+def endpoint_frame(src, dst, sport, dport, tcp, total_length, ttl, tcp_flags, ihl_words):
+    """An Ethernet-II / IPv4 frame with ihl_words - 5 words of IPv4 options."""
+    ip = struct.pack(">BBHHHBBH4s4s", 0x40 | ihl_words, 0, total_length, 1, 0, ttl,
+                     6 if tcp else 17, 0, src, dst) + b"\x01" * (4 * (ihl_words - 5))
+    transport = (struct.pack(">HHIIBBHHH", sport, dport, 0, 0, 0x50, tcp_flags, 8192, 0, 0)
+                 if tcp else struct.pack(">HHHH", sport, dport, 8, 0))
+    return b"\xaa" * 6 + b"\xbb" * 6 + b"\x08\x00" + ip + transport
+
+
+# few addresses and ports, so flows hold several packets in both directions;
+# equal addresses make a flow whose endpoints differ only by port
+_address = st.sampled_from([bytes([10, 0, 0, 1]), bytes([9, 0, 0, 200]), bytes([10, 0, 0, 10])])
+_port = st.sampled_from([53, 40000])
+# few distinct (second, fraction) pairs, so timestamps repeat inside a flow
+_endpoint_packet = st.tuples(
+    _address, _address, _port, _port, st.booleans(), st.integers(0, 3),
+    st.sampled_from([0, 1, 999_999]), st.integers(60, 1500), st.integers(0, 255),
+    st.integers(0, 255), st.sampled_from([5, 5, 6, 15]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.integers(0, 2**32 - 1), st.lists(_endpoint_packet, max_size=80),
+       st.sampled_from([0, 2**40 // 10**6, 2**32 - 4]), st.randoms(use_true_random=False))
+def test_ingest_matches_object_path_oracles(seed, packets, base_sec, rnd):
+    """parse -> assemble -> truncate -> the three families equal the
+    per-packet oracles: records, flow ids, each flow's records, matrices."""
+    parts = _records_of(snapped_capture(seed, n_packets=4))
+    parts += [record_header(f, 100, 0) + f for f in odd_frames()]
+    for src, dst, sport, dport, tcp, sec, frac, size, ttl, flags, ihl in packets:
+        frame = endpoint_frame(src, dst, sport, dport, tcp, size, ttl, flags if tcp else 0, ihl)
+        parts.append(record_header(frame, base_sec + sec, frac) + frame)
+    rnd.shuffle(parts)  # file order is not time order
+    cap = global_header() + b"".join(parts)
+
+    table = parse_pcap(cap)
+    records = parse_pcap_fieldwise(cap)
+    assert table == records
+    flows, want = assemble_flows(table), assemble_flows_dict(records)
+    assert [f.flow_id() for f in flows] == [f.flow_id() for f in want]
+    assert [f.packets for f in flows] == [f.packets for f in want]
+    assert [f.packets for f in assemble_flows(records)] == [f.packets for f in want]
+    cut, cut_want = truncate_flows(flows), truncate_flows_lists(want)
+    assert [f.packets for f in cut] == [f.packets for f in cut_want]
+    assert np.array_equal(iat_size_features(cut).values, iat_size_loops(cut_want))
+    assert np.array_equal(stats_header_features(cut).values, stats_header_loops(cut_want))
+    assert np.array_equal(samp_size_features(cut).values, samp_size_loops(cut_want))
+
+
+def _records_of(cap):
+    """The (record header + frame) byte strings of a little-endian capture."""
+    out, offset = [], 24
+    while offset < len(cap):
+        incl_len = struct.unpack_from("<I", cap, offset + 8)[0]
+        out.append(cap[offset:offset + 16 + incl_len])
+        offset += 16 + incl_len
+    return out
