@@ -51,7 +51,8 @@ class GmmModel:
 
 
 def default_reg(X):
-    """Covariance ridge: 1e-6 times the mean per-dimension data variance."""
+    """Covariance prior strength: 1e-6 times the mean per-dimension data
+    variance (m_step adds reg/W_l to the covariance of a component of mass W_l)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     mean_var = float(np.mean(np.var(X, axis=0)))
     return 1e-6 * mean_var if mean_var > 0 else 1e-6
@@ -99,11 +100,14 @@ def e_step(model, X):
 
 
 def m_step(X, resp, reg):
-    """Weighted-moment parameter update.
+    """MAP parameter update under the covariance penalty -(reg/2) sum_l tr sigma_l^-1.
 
-    A component whose total responsibility collapses below 1e-10 * n is
-    reinitialized at the point the surviving components explain worst; the
-    event is flagged in the returned model's diagnostics.
+    Weights and means are the weighted moments; component l, of mass W_l and
+    weighted scatter S_l about its mean, gets sigma_l = (S_l + reg I) / W_l
+    (Fraley & Raftery 2007), so EM ascends the penalised log-likelihood that
+    fit_em records. A component whose total responsibility collapses below
+    1e-10 * n is reinitialized at the point the surviving components explain
+    worst; the event is flagged in the returned model's diagnostics.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
@@ -120,7 +124,7 @@ def m_step(X, resp, reg):
         w = resp[:, l]
         mu[l] = w @ X / weights[l]
         diff = X - mu[l]
-        sigma[l] = (diff.T * w) @ diff / weights[l] + eye
+        sigma[l] = ((diff.T * w) @ diff + eye) / weights[l]
 
     if collapsed.size:
         if healthy.size == 0:
@@ -182,7 +186,9 @@ def _init_model(X, k, labels, reg, rng):
 def fit_em(X, k, init=None, tol=1e-4, max_iter=200, seed=None):
     """Fit a k-component full-covariance GMM by EM.
 
-    Every covariance carries the ridge default_reg(X).
+    Each M-step is m_step's MAP update with reg = default_reg(X), which
+    keeps every covariance positive definite where the plain likelihood is
+    unbounded.
 
     Parameters
     ----------
@@ -192,13 +198,15 @@ def fit_em(X, k, init=None, tol=1e-4, max_iter=200, seed=None):
         left out of the initial mixture, e.g. quickshift.auto_k's; when
         absent, k-means++ seeding (seeded) is used.
     tol : float
-        Stop when the mean log-likelihood improves by less than tol.
+        Stop when the recorded objective improves by less than tol.
     max_iter : int
     seed : int or None
 
     Returns
     -------
-    GmmModel with diagnostics["loglik_history"] recording the EM trajectory.
+    GmmModel. diagnostics["loglik_history"] holds, per E-step, the penalised
+    mean log-likelihood that EM ascends: mean_i log p(x_i) minus
+    (reg / 2n) sum_l tr sigma_l^-1.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
@@ -213,10 +221,12 @@ def fit_em(X, k, init=None, tol=1e-4, max_iter=200, seed=None):
     prev = -np.inf
     for _ in range(max_iter):
         resp, loglik = e_step(model, X)
-        history.append(loglik)
-        if abs(loglik - prev) < tol:
+        # tr sigma^-1 = ||L^-1||_F^2 for sigma = L L^T
+        objective = loglik - reg / (2 * n) * float(np.sum(model._inv_t ** 2))
+        history.append(objective)
+        if abs(objective - prev) < tol:
             break
-        prev = loglik
+        prev = objective
         model = m_step(X, resp, reg)
         reinits.extend(model.diagnostics.get("reinitialized_components", []))
     model.diagnostics["loglik_history"] = history

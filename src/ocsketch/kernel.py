@@ -5,6 +5,19 @@ import math
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
+# Training stages whose cost grows quadratically in the rows they see (the
+# bandwidth's pairwise distances, auto-k's kNN table) see at most this many.
+MAX_QUADRATIC_ROWS = 2500
+
+
+def quadratic_rows(n):
+    """Sorted indices of the rows a quadratic-cost stage uses: all n rows when
+    n <= MAX_QUADRATIC_ROWS, else a uniform subset of that many rows drawn
+    with a fixed seed, so the subset depends on n only."""
+    if n <= MAX_QUADRATIC_ROWS:
+        return np.arange(n)
+    return np.sort(np.random.default_rng(0).choice(n, MAX_QUADRATIC_ROWS, replace=False))
+
 
 def require_finite(X):
     """Raise ValueError naming the first non-finite entry of a 2-D array."""
@@ -38,8 +51,12 @@ def percentile(values, q):
 def quantile_bandwidth(X, q):
     """Bandwidth as the nearest-rank q-quantile of pairwise distances.
 
-    A zero quantile value falls back to the smallest strictly positive
-    distance; an all-identical dataset is an error.
+    The distances are those among quadratic_rows(n): every pair for n up to
+    MAX_QUADRATIC_ROWS, else the pairs of a fixed-seed subset of rows, so the
+    bandwidth then depends on the row order. A zero quantile value falls back
+    to the smallest strictly positive distance among those rows or, when
+    they are all one point, from that point to every row; an all-identical
+    dataset is an error.
 
     Parameters
     ----------
@@ -59,12 +76,16 @@ def quantile_bandwidths(X, qs):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] < 2:
         raise ValueError(f"need at least 2 points, got {X.shape[0]}")
-    dists = pdist(X)
+    rows = quadratic_rows(X.shape[0])
+    dists = pdist(X[rows])
     ranks = [nearest_rank(len(dists), q) - 1 for q in qs]
-    dists.partition(sorted(set(ranks)))  # in place: a copy would double the n(n-1)/2 floats
+    dists.partition(sorted(set(ranks)))  # in place: a copy would double the N(N-1)/2 floats
     hs = [float(dists[rank]) for rank in ranks]
     if 0.0 in hs:
         positive = dists[dists > 0]
+        if positive.size == 0:  # every sampled row is one point: look at all rows
+            positive = cdist(X[rows[:1]], X)[0]
+            positive = positive[positive > 0]
         if positive.size == 0:
             raise ValueError("degenerate dataset: all points identical")
         hs = [h or float(positive.min()) for h in hs]

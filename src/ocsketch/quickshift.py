@@ -14,6 +14,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import cdist
 
+from .kernel import quadratic_rows
+
 NOISE = -1
 
 _BLOCK_ROWS = 256
@@ -22,7 +24,7 @@ _BLOCK_ROWS = 256
 @dataclass
 class QsConfig:
     beta: float = 0.9
-    k_neighbors: int | None = None  # default ceil(n^(2/3)), clamped below n
+    k_neighbors: int | None = None  # default ceil(N^(2/3)) for N clustered rows, below N
     coverage: float = 0.95
     max_clusters: int = 20
 
@@ -283,8 +285,11 @@ def select_components(labels, coverage=0.95, cap=20):
 def auto_k(X, config=None):
     """Full pipeline: density -> cores -> assignment -> retention.
 
-    Returns a Clustering; gmm.fit_em(X, k, init=labels) seeds the mixture
-    with the retained clusters' moments.
+    The pipeline runs on kernel.quadratic_rows(n): every row up to
+    kernel.MAX_QUADRATIC_ROWS, else a fixed-seed subset of that many, and
+    the rows outside it are labelled NOISE. Returns a Clustering;
+    gmm.fit_em(X, k, init=labels) seeds the mixture with the retained
+    clusters' moments and refines it on every row.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
@@ -292,11 +297,16 @@ def auto_k(X, config=None):
         raise ValueError(f"need at least 2 points, got {n}")
     if config is None:
         config = QsConfig()
+    rows = quadratic_rows(n)
+    S = X[rows]
     k_n = config.k_neighbors
     if k_n is None:
-        k_n = min(math.ceil(n ** (2 / 3)), n - 1)
-    nbrs, radii = knn_table(X, k_n)
-    dens = knn_log_density(radii, X.shape[1])
+        k_n = min(math.ceil(len(rows) ** (2 / 3)), len(rows) - 1)
+    nbrs, radii = knn_table(S, k_n)
+    dens = knn_log_density(radii, S.shape[1])
     cores = cluster_cores(dens, nbrs, config.beta)
-    labels = quickshift_assign(X, dens, cores, nbrs)
-    return select_components(labels, config.coverage, config.max_clusters)
+    labels = quickshift_assign(S, dens, cores, nbrs)
+    kept = select_components(labels, config.coverage, config.max_clusters)
+    labels = np.full(n, NOISE, dtype=np.int64)
+    labels[rows] = kept.labels
+    return Clustering(labels, kept.k)

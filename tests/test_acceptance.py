@@ -148,7 +148,7 @@ def test_criterion_4_gmm():
     X1 = rng.standard_normal((80, 3)) * 2 + 1
     m1 = fit_em(X1, 1, seed=0)
     mu_err = np.abs(m1.mu[0] - X1.mean(axis=0)).max()
-    cov = np.cov(X1, rowvar=False, bias=True) + default_reg(X1) * np.eye(3)
+    cov = np.cov(X1, rowvar=False, bias=True) + default_reg(X1) / len(X1) * np.eye(3)
     sig_err = np.abs(m1.sigma[0] - cov).max()
     assert mu_err < 1e-10 and sig_err < 1e-10
 

@@ -1,4 +1,6 @@
 import functools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +20,21 @@ from ocsketch.detector import (
     serialize,
     train_detector,
 )
-from ocsketch.embedding import EmbeddingModel, embed
-from ocsketch.evaluate import synth_cluster_in_cluster
+from ocsketch.embedding import EmbeddingModel, embed, fit_kjl
+from ocsketch.evaluate import auc, synth_blobs, synth_cluster_in_cluster
 from ocsketch.gmm import GmmModel, fit_em, log_pdf
 from ocsketch.ocsvm import OcsvmModel, train_ocsvm
+from ocsketch.quickshift import (
+    cluster_cores,
+    knn_log_density,
+    knn_table,
+    quickshift_assign,
+    select_components,
+)
 
 from ocsketch.detector import DetectorModel
+
+from oracles import quantile_bandwidth_one
 
 
 def ring_data(n=1200, seed=0):
@@ -290,3 +301,59 @@ def test_deserialize_rejects_non_positive_definite_covariance():
     raw[first_sigma:first_sigma + 8] = np.float64(-5.0).astype("<f8").tobytes()
     with pytest.raises(ValueError, match=r"sigma\[0\]"):
         deserialize(bytes(raw))
+
+
+def _uncapped_detector(X, config):
+    """train_detector with the bandwidth and auto-k on every row, run
+    through the stage functions."""
+    emb = fit_kjl(X, config.m, config.d, quantile_bandwidth_one(X, config.h_quantile),
+                  seed=config.seed)
+    Z = embed(emb, X)
+    nbrs, radii = knn_table(Z, math.ceil(len(Z) ** (2 / 3)))
+    dens = knn_log_density(radii, Z.shape[1])
+    qs = config.qs
+    labels = quickshift_assign(Z, dens, cluster_cores(dens, nbrs, qs.beta), nbrs)
+    kept = select_components(labels, qs.coverage, qs.max_clusters)
+    return DetectorModel(emb, fit_em(Z, kept.k, init=kept.labels, seed=config.seed))
+
+
+def _blob_split(clusters):
+    normal, _ = synth_blobs(6300, clusters, 20, 30.0, seed=0)
+    novel, _ = synth_blobs(300, clusters, 20, 30.0, seed=1)
+    perm = np.random.default_rng(0).permutation(len(normal))
+    return normal[perm[:6000]], normal[perm[6000:]], novel + 60.0
+
+
+def _ring_split():
+    X, y = synth_cluster_in_cluster(12600, seed=0)
+    normal, novel = X[y == 0], X[y == 1]
+    return normal[:6000], normal[6000:6300], novel[:300]
+
+
+@pytest.mark.parametrize("split, h_quantile", [
+    (lambda: _blob_split(3), 0.25),
+    (lambda: _blob_split(10), 0.25),
+    (_ring_split, 0.5),
+], ids=["blobs3", "blobs10", "ring"])
+def test_row_cap_keeps_the_uncapped_k_and_auc(split, h_quantile):
+    train, test_normal, test_novel = split()
+    config = DetectorConfig(kind="kjl", m=100, d=5, h_quantile=h_quantile, seed=0)
+    full = _uncapped_detector(train, config)
+    capped = train_detector(train, config)
+    assert capped.gmm.k == full.gmm.k
+    full_auc, capped_auc = (auc(detect_scores(m, test_normal), detect_scores(m, test_novel))
+                            for m in (full, capped))
+    assert abs(capped_auc - full_auc) <= 0.002
+
+
+def test_training_memory_is_bounded_by_the_row_cap():
+    # pairwise distances over all 50k rows alone would take 10 GB
+    X, _ = synth_blobs(50_000, 3, 20, 30.0, seed=3)
+    tracemalloc.start()
+    try:
+        model = train_detector(X, DetectorConfig(kind="kjl", m=100, d=5, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.gmm.k == 3
+    assert peak < 150e6

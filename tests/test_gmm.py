@@ -157,7 +157,8 @@ def test_fit_k1_closed_form():
     model = fit_em(X, 1, seed=0)
     reg = default_reg(X)
     assert np.abs(model.mu[0] - X.mean(axis=0)).max() < 1e-10
-    expected = np.cov(X, rowvar=False, bias=True) + reg * np.eye(3)
+    # MAP ridge: (S + reg I) / n for the single component's scatter S
+    expected = np.cov(X, rowvar=False, bias=True) + reg / len(X) * np.eye(3)
     assert np.abs(model.sigma[0] - expected).max() < 1e-10
     assert len(model.diagnostics["loglik_history"]) <= 3
 

@@ -6,11 +6,13 @@ from scipy.spatial.distance import pdist
 
 from ocsketch import flows
 from ocsketch.kernel import (
+    MAX_QUADRATIC_ROWS,
     gram,
     nearest_rank,
     percentile,
     quantile_bandwidth,
     quantile_bandwidths,
+    quadratic_rows,
     require_finite,
 )
 
@@ -100,6 +102,38 @@ def test_quantile_bandwidths_match_one_partition_per_quantile(n, levels, seed, q
     want = [quantile_bandwidth_one(X, q) for q in qs]
     assert quantile_bandwidths(X, qs) == want
     assert [quantile_bandwidth(X, q) for q in qs] == want
+
+
+def test_quadratic_rows_every_row_up_to_the_cap_a_fixed_subset_above():
+    assert np.array_equal(quadratic_rows(MAX_QUADRATIC_ROWS), np.arange(MAX_QUADRATIC_ROWS))
+    rows = quadratic_rows(6000)
+    assert rows.shape == (MAX_QUADRATIC_ROWS,)
+    assert np.all(np.diff(rows) > 0) and rows[0] >= 0 and rows[-1] < 6000
+    assert np.array_equal(rows, quadratic_rows(6000))
+
+
+def test_quantile_bandwidths_match_the_oracle_on_the_capped_rows():
+    rng = np.random.default_rng(6)
+    qs = [1e-6, 0.25, 0.5, 1.0]
+    X = rng.standard_normal((MAX_QUADRATIC_ROWS, 3))
+    assert quantile_bandwidths(X, qs) == [quantile_bandwidth_one(X, q) for q in qs]
+    X = rng.standard_normal((MAX_QUADRATIC_ROWS + 700, 3))
+    rows = quadratic_rows(len(X))
+    assert quantile_bandwidths(X, qs) == [quantile_bandwidth_one(X[rows], q) for q in qs]
+
+
+def test_quantile_bandwidth_above_the_cap_looks_past_one_sampled_point():
+    # every sampled row is the origin; two unsampled rows are not
+    n = MAX_QUADRATIC_ROWS + 500
+    X = np.zeros((n, 2))
+    unsampled = np.setdiff1d(np.arange(n), quadratic_rows(n))
+    X[unsampled[:2]] = [[3.0, 4.0], [0.0, 0.5]]
+    assert quantile_bandwidths(X, [0.5, 1.0]) == [0.5, 0.5]
+
+
+def test_quantile_bandwidth_above_the_cap_all_identical_is_degenerate():
+    with pytest.raises(ValueError, match="all points identical"):
+        quantile_bandwidth(np.full((MAX_QUADRATIC_ROWS + 500, 2), 7.0), 0.5)
 
 
 def test_gram_unit_diagonal_and_symmetry():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from ocsketch import quickshift
 from ocsketch.evaluate import synth_blobs
 from ocsketch.gmm import default_reg, fit_em
+from ocsketch.kernel import MAX_QUADRATIC_ROWS, quadratic_rows
 from ocsketch.quickshift import (
     NOISE,
     QsConfig,
@@ -165,7 +168,7 @@ def test_select_components_labels_seed_em_moments():
     for l, rows in enumerate((slice(0, 60), slice(60, 90))):
         pts = X[rows]
         assert np.allclose(model.mu[l], pts.mean(axis=0), rtol=0, atol=1e-14)
-        cov = np.cov(pts, rowvar=False, bias=True) + default_reg(X) * np.eye(2)
+        cov = np.cov(pts, rowvar=False, bias=True) + default_reg(X) / len(pts) * np.eye(2)
         assert np.allclose(model.sigma[l], cov, rtol=0, atol=1e-14)
 
 
@@ -190,6 +193,24 @@ def test_auto_k_deterministic():
     b = auto_k(X)
     assert np.array_equal(a.labels, b.labels)
     assert a.k == b.k
+
+
+@pytest.mark.parametrize("n", [MAX_QUADRATIC_ROWS, MAX_QUADRATIC_ROWS + 500])
+def test_auto_k_runs_the_stages_on_the_capped_rows_only(n):
+    X, _ = synth_blobs(n, 3, 2, 10.0, seed=15)
+    rows = quadratic_rows(n)
+    clustering = auto_k(X)
+    off = np.ones(n, dtype=bool)
+    off[rows] = False
+    assert np.all(clustering.labels[off] == NOISE)
+
+    S, config = X[rows], QsConfig()
+    nbrs, radii = knn_table(S, math.ceil(len(S) ** (2 / 3)))
+    dens = knn_log_density(radii, S.shape[1])
+    labels = quickshift_assign(S, dens, cluster_cores(dens, nbrs, config.beta), nbrs)
+    want = select_components(labels, config.coverage, config.max_clusters)
+    assert np.array_equal(clustering.labels[rows], want.labels)
+    assert clustering.k == want.k == 3
 
 
 def test_k_search_grid_constant():
