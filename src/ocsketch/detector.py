@@ -10,15 +10,15 @@ model's size is the length of its file.
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import quickshift as qs_mod
 from .embedding import KJL, NYSTROM, EmbeddingModel, embed, fit_kjl, fit_nystrom
 from .gmm import GmmModel, fit_em, log_pdf
 from .kernel import percentile, quantile_bandwidth, require_finite
 from .ocsvm import OcsvmModel
+from .quickshift import auto_k
 
 NORMAL = "NORMAL"
 NOVEL = "NOVEL"
@@ -41,7 +41,6 @@ class DetectorConfig:
     h: float | None = None  # explicit bandwidth wins over the quantile
     h_quantile: float = 0.25
     k: int | str = AUTO  # AUTO uses mode-seeking clustering
-    qs: qs_mod.QsConfig = field(default_factory=qs_mod.QsConfig)
     seed: int | None = None
 
 
@@ -70,7 +69,7 @@ def train_detector(X_normal, config):
         raise ValueError(f"unknown embedding kind {config.kind!r}")
     Z = embed(emb, X)
     if config.k == AUTO:
-        clustering = qs_mod.auto_k(Z, config.qs)
+        clustering = auto_k(Z)
         model = fit_em(Z, clustering.k, init=clustering.labels, seed=config.seed)
     else:
         model = fit_em(Z, int(config.k), seed=config.seed)

@@ -77,14 +77,12 @@ def _draw_landmarks(X, m, rng):
     return np.array(X[idx], dtype=float)
 
 
-def _check_fit_args(X, m, d, h):
+def _check_fit_args(X, m, d):
     n = X.shape[0]
     if m > n:
         raise ValueError(f"m={m} exceeds training size n={n}")
     if not 1 <= d <= m:
         raise ValueError(f"need 1 <= d <= m, got d={d}, m={m}")
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
 
 
 def fit_nystrom(X, m, d, h, seed=None):
@@ -106,7 +104,7 @@ def fit_nystrom(X, m, d, h, seed=None):
     EmbeddingModel
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    _check_fit_args(X, m, d, h)
+    _check_fit_args(X, m, d)
     rng = np.random.default_rng(seed)
     landmarks = _draw_landmarks(X, m, rng)
     K = gram(landmarks, landmarks, h)
@@ -128,7 +126,7 @@ def fit_kjl(X, m, d, h, seed=None):
     the sketch matrix Z, in that order.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    _check_fit_args(X, m, d, h)
+    _check_fit_args(X, m, d)
     rng = np.random.default_rng(seed)
     landmarks = _draw_landmarks(X, m, rng)
     K = gram(landmarks, landmarks, h)

@@ -163,7 +163,7 @@ def truncate_flows(flows, q=0.9):
         raise ValueError("truncate_flows needs at least one flow")
     table, starts, lengths = _segments(flows)
     ts = table.timestamp_us
-    cutoff = percentile(_durations(ts, starts, lengths).tolist(), q)
+    cutoff = percentile(_durations(ts, starts, lengths), q)
     keep = ts - np.repeat(ts[starts], lengths) <= cutoff
     kept = np.add.reduceat(keep.astype(np.int64), starts)
     table = table[keep]
@@ -174,7 +174,7 @@ def truncate_flows(flows, q=0.9):
 
 def _packet_budget(lengths):
     """Dataset-wide packet count budget L: the 0.9 percentile of flow lengths."""
-    return percentile(lengths.tolist(), 0.9)
+    return percentile(lengths, 0.9)
 
 
 def iat_size_features(flows):
@@ -196,12 +196,6 @@ def iat_size_features(flows):
     gap = head[1:] & (pos[1:] > 0)  # row r + 1 and its predecessor r in one flow
     X[flow[1:][gap], pos[1:][gap] - 1] = np.diff(table.timestamp_us)[gap]
     return FeatureMatrix(X, IAT_SIZE, [f.flow_id() for f in flows])
-
-
-def _nearest_ranks(lengths, q):
-    """nearest_rank(length, q) of each flow, evaluated once per distinct length."""
-    distinct, which = np.unique(lengths, return_inverse=True)
-    return np.array([nearest_rank(c, q) for c in distinct.tolist()], dtype=np.int64)[which]
 
 
 def stats_header_features(flows):
@@ -230,7 +224,7 @@ def stats_header_features(flows):
     X[:, 4] = [sizes[s:e].std() for s, e in zip(starts.tolist(), (starts + lengths).tolist())]
     ranked = sizes[np.lexsort((sizes, flow))]  # each flow's sizes, ascending
     for col, q in ((5, 0.25), (6, 0.5), (7, 0.75)):
-        X[:, col] = ranked[starts + _nearest_ranks(lengths, q) - 1]
+        X[:, col] = ranked[starts + nearest_rank(lengths, q) - 1]
     X[:, 8] = ranked[starts]
     X[:, 9] = ranked[starts + lengths - 1]
     X[:, 10] = np.bincount(flow, weights=table.ttl, minlength=n) / lengths
@@ -252,7 +246,7 @@ def samp_size_features(flows, q=0.9):
     n = len(flows)
     L = _packet_budget(lengths)
     ts = table.timestamp_us
-    delta = max(percentile(_durations(ts, starts, lengths).tolist(), q) / L, 1.0)
+    delta = max(percentile(_durations(ts, starts, lengths), q) / L, 1.0)
     flow = _flow_of_row(lengths)
     offset = (ts - np.repeat(ts[starts], lengths)) / delta
     inside = offset < L  # the bin int(offset) exists

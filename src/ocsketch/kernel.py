@@ -1,7 +1,5 @@
 """Gaussian gram matrices, nearest-rank quantiles, distance-quantile bandwidths."""
 
-import math
-
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
@@ -27,11 +25,13 @@ def require_finite(X):
 
 
 def nearest_rank(count, q):
-    """1-based index ceil(q*count) of the nearest-rank q-quantile of count values."""
+    """1-based index ceil(q*count) of the nearest-rank q-quantile of count
+    values; count may be an integer array, giving one index per entry."""
     if not 0 < q <= 1:
         raise ValueError(f"quantile must be in (0, 1], got {q}")
     # guard against float products landing epsilon above an exact integer
-    return max(1, math.ceil(q * count - 1e-9))
+    rank = np.maximum(np.ceil(q * np.asarray(count) - 1e-9), 1).astype(np.int64)
+    return rank[()]  # a scalar for a scalar count
 
 
 def percentile(values, q):
@@ -39,13 +39,14 @@ def percentile(values, q):
 
     Parameters
     ----------
-    values : nonempty iterable of reals
+    values : nonempty 1-D array-like of reals
     q : float in (0, 1]
     """
-    vals = sorted(values)
-    if not vals:
+    values = np.asarray(values)
+    if values.size == 0:
         raise ValueError("percentile of empty input")
-    return vals[nearest_rank(len(vals), q) - 1]
+    rank = nearest_rank(values.size, q) - 1
+    return np.partition(values, rank)[rank]
 
 
 def quantile_bandwidth(X, q):

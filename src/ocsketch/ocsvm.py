@@ -13,6 +13,7 @@ import numpy as np
 from .kernel import gram, require_finite
 
 SV_EPS = 1e-12  # alpha above this counts as a support vector
+CACHE_BYTES = 512 * 2**20  # kernel-row cache budget of one training
 
 
 @dataclass
@@ -63,15 +64,14 @@ def _initial_alpha(n, C, rng):
     return alpha
 
 
-def train_ocsvm(X, h, nu=0.5, tol=1e-3, max_kernel_evals=10_000_000, seed=None,
-                cache_bytes=512 * 2**20):
+def train_ocsvm(X, h, nu=0.5, tol=1e-3, max_kernel_evals=10_000_000, seed=None):
     """Train a nu-OCSVM by sequential minimal optimization.
 
     Parameters
     ----------
     X : array-like, shape (n, D), n >= 2
-    h : float
-        Gaussian kernel bandwidth.
+    h : float > 0
+        Gaussian kernel bandwidth; kernel.gram rejects any other value.
     nu : float in (0, 1]
         Upper bound on the flagged-training fraction, lower bound on the
         support-vector fraction.
@@ -94,8 +94,6 @@ def train_ocsvm(X, h, nu=0.5, tol=1e-3, max_kernel_evals=10_000_000, seed=None,
     require_finite(X)
     if not 0 < nu <= 1:
         raise ValueError(f"nu must be in (0, 1], got {nu}")
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
 
     C = 1.0 / (nu * n)
     rng = np.random.default_rng(seed)
@@ -103,7 +101,7 @@ def train_ocsvm(X, h, nu=0.5, tol=1e-3, max_kernel_evals=10_000_000, seed=None,
     # the row cache is freed when _smo returns, before the model's arrays are
     # allocated: an array placed above the cached rows on the heap would keep
     # their freed memory resident under the next large allocation
-    grad, converged = _smo(_RowCache(X, h, cache_bytes), alpha, C, tol, max_kernel_evals)
+    grad, converged = _smo(_RowCache(X, h, CACHE_BYTES), alpha, C, tol, max_kernel_evals)
     rho = _offset(grad, alpha, C)
     sv = alpha > SV_EPS
     return OcsvmModel(
@@ -177,15 +175,12 @@ def score(model, x):
     """Decision score f(x) - rho; novel iff negative at the default threshold.
 
     Accepts a single D-vector (returns float) or an (n, D) batch
-    (returns (n,) array). A non-finite entry raises ValueError.
+    (returns (n,) array). A non-finite entry raises ValueError, and so does
+    (from kernel.gram) a query whose dimension differs from the model's.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     Xq = np.atleast_2d(x)
     require_finite(Xq)
-    if Xq.shape[1] != model.support_vectors.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: {Xq.shape[1]} != {model.support_vectors.shape[1]}"
-        )
     vals = gram(Xq, model.support_vectors, model.h) @ model.alpha - model.rho
     return float(vals[0]) if single else vals

@@ -13,7 +13,7 @@ read.
 
 import struct
 from dataclasses import dataclass
-from socket import inet_aton, inet_ntoa
+from socket import inet_ntoa
 
 import numpy as np
 
@@ -88,8 +88,9 @@ class PacketTable:
 
     @classmethod
     def from_records(cls, records):
-        """The table of a sequence of PacketRecords."""
-        rows = [(r.timestamp_us, _ip_int(r.src_ip), _ip_int(r.dst_ip), r.src_port,
+        """The table of a sequence of PacketRecords; an address that is not
+        a canonical dotted quad raises ValueError naming it."""
+        rows = [(r.timestamp_us, _check_ip(r.src_ip), _check_ip(r.dst_ip), r.src_port,
                  r.dst_port, _is_tcp(r.proto), r.size_bytes, r.ttl, r.tcp_flags)
                 for r in records]
         return cls._from_rows(rows)
@@ -135,8 +136,20 @@ class PacketTable:
     __hash__ = None
 
 
-def _ip_int(text):
-    return int.from_bytes(inet_aton(text), "big")
+def _check_ip(text):
+    """The integer of a dotted quad of canonical decimal octets, as pcap
+    parsing writes them."""
+    parts = text.split(".")
+    if len(parts) != 4:
+        raise ValueError(f"bad IPv4 address {text!r}")
+    value = 0
+    for p in parts:
+        v = int(p)
+        # int() also takes leading zeros, spaces and "_"
+        if str(v) != p or not 0 <= v <= 255:
+            raise ValueError(f"bad IPv4 octet {p!r} in {text!r}")
+        value = value << 8 | v
+    return value
 
 
 def _ip_str(value):
@@ -238,22 +251,6 @@ def _decode_frames(data, starts, endian, tick):
     return PacketTable(timestamp_us=timestamp_us, src_ip=be32[pos + 26], dst_ip=be32[pos + 30],
                        src_port=be16[transport], dst_port=be16[transport + 2], is_tcp=tcp,
                        size_bytes=total_length, ttl=u8[pos + 22], tcp_flags=tcp_flags)
-
-
-def _check_ip(text):
-    """The integer of a dotted quad of canonical decimal octets, as pcap
-    parsing writes them."""
-    parts = text.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"bad IPv4 address {text!r}")
-    value = 0
-    for p in parts:
-        v = int(p)
-        # int() also takes leading zeros, spaces and "_"
-        if str(v) != p or not 0 <= v <= 255:
-            raise ValueError(f"bad IPv4 octet {p!r} in {text!r}")
-        value = value << 8 | v
-    return value
 
 
 def parse_packet_csv(text):

@@ -287,9 +287,10 @@ def auto_k(X, config=None):
 
     The pipeline runs on kernel.quadratic_rows(n): every row up to
     kernel.MAX_QUADRATIC_ROWS, else a fixed-seed subset of that many, and
-    the rows outside it are labelled NOISE. Returns a Clustering;
-    gmm.fit_em(X, k, init=labels) seeds the mixture with the retained
-    clusters' moments and refines it on every row.
+    the rows outside it are labelled NOISE. Those rows are one cluster
+    (k = 1) when they are all one point, which no density can rank.
+    Returns a Clustering; gmm.fit_em(X, k, init=labels) seeds the mixture
+    with the retained clusters' moments and refines it on every row.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
@@ -299,14 +300,17 @@ def auto_k(X, config=None):
         config = QsConfig()
     rows = quadratic_rows(n)
     S = X[rows]
-    k_n = config.k_neighbors
-    if k_n is None:
-        k_n = min(math.ceil(len(rows) ** (2 / 3)), len(rows) - 1)
-    nbrs, radii = knn_table(S, k_n)
-    dens = knn_log_density(radii, S.shape[1])
-    cores = cluster_cores(dens, nbrs, config.beta)
-    labels = quickshift_assign(S, dens, cores, nbrs)
-    kept = select_components(labels, config.coverage, config.max_clusters)
+    if (S == S[0]).all():
+        kept = Clustering(np.zeros(len(rows), dtype=np.int64), 1)
+    else:
+        k_n = config.k_neighbors
+        if k_n is None:
+            k_n = min(math.ceil(len(rows) ** (2 / 3)), len(rows) - 1)
+        nbrs, radii = knn_table(S, k_n)
+        dens = knn_log_density(radii, S.shape[1])
+        cores = cluster_cores(dens, nbrs, config.beta)
+        labels = quickshift_assign(S, dens, cores, nbrs)
+        kept = select_components(labels, config.coverage, config.max_clusters)
     labels = np.full(n, NOISE, dtype=np.int64)
     labels[rows] = kept.labels
     return Clustering(labels, kept.k)

@@ -1,15 +1,16 @@
 """Independent reference implementations used as test oracles.
 
-These deliberately avoid the library's own code paths: the QP oracle
-enumerates KKT partitions, the AUC oracle counts pairs, the embedding oracle
-takes every kernel distance from cdist, the density oracles sum Gaussians
-directly or factor every covariance on every call, the kNN oracle argsorts
-whole distance rows, the merge-event oracle runs one minimum spanning tree
-over every earlier-neighbor edge, the core oracle runs the union-find
-sweep over every kNN edge, the pcap oracle decodes a frame one field at a
-time, the flow oracles group PacketRecords in a dict under a per-packet key
-and truncate flow by flow, and the flow-feature oracles fill each row one
-packet at a time.
+These deliberately avoid the library's own code paths: the percentile
+oracle sorts a Python list, the QP oracle enumerates KKT partitions, the AUC
+oracle counts pairs, the embedding oracle takes every kernel distance from
+cdist, the density oracles sum Gaussians directly or factor every covariance
+on every call, the kNN oracle argsorts whole distance rows, the merge-event
+oracle runs one minimum spanning tree over every earlier-neighbor edge, the
+core oracle runs the union-find sweep over every kNN edge, the pcap oracle
+decodes a frame one field at a time, the flow oracles group PacketRecords in
+a dict under a per-packet key and truncate flow by flow, and the
+flow-feature oracles fill each row one packet at a time, taking their
+quantiles from the percentile oracle.
 """
 
 import itertools
@@ -24,7 +25,7 @@ from scipy.spatial.distance import cdist, pdist
 from scipy.special import logsumexp
 
 from ocsketch.flows import STATS_HEADER_DIM, TCP_FLAG_BITS, Flow
-from ocsketch.kernel import gram, nearest_rank, percentile, require_finite
+from ocsketch.kernel import gram, nearest_rank, require_finite
 from ocsketch.pcap import PacketRecord, PcapParseError
 
 
@@ -36,6 +37,14 @@ def gaussian_gram(X, Y, h):
         for j, y in enumerate(Y):
             G[i, j] = np.exp(-np.sum((x - y) ** 2) / h**2)
     return G
+
+
+def percentile(values, q):
+    """kernel.percentile by sorting a Python list."""
+    vals = sorted(values)
+    if not vals:
+        raise ValueError("percentile of empty input")
+    return vals[nearest_rank(len(vals), q) - 1]
 
 
 def quantile_bandwidth_one(X, q):

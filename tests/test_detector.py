@@ -23,8 +23,10 @@ from ocsketch.detector import (
 from ocsketch.embedding import EmbeddingModel, embed, fit_kjl
 from ocsketch.evaluate import auc, synth_blobs, synth_cluster_in_cluster
 from ocsketch.gmm import GmmModel, fit_em, log_pdf
+from ocsketch.kernel import quadratic_rows
 from ocsketch.ocsvm import OcsvmModel, train_ocsvm
 from ocsketch.quickshift import (
+    QsConfig,
     cluster_cores,
     knn_log_density,
     knn_table,
@@ -293,6 +295,19 @@ def test_train_rejects_duplicate_heavy_data():
         train_detector(X, small_config(m=20, d=2))
 
 
+def test_train_auto_k_on_one_point_sample():
+    # 3000 rows at the origin and 50 Gaussian rows, none of them sampled: the
+    # bandwidth reaches past the sample, and auto-k finds one cluster
+    n = 3050
+    outside = np.setdiff1d(np.arange(n), quadratic_rows(n))
+    X = np.zeros((n, 4))
+    X[outside[:50]] = np.random.default_rng(2).standard_normal((50, 4))
+    model = train_detector(X, small_config())
+    assert model.gmm.k == 1
+    assert np.all(np.isfinite(detect_scores(model, X)))
+    assert train_detector(X, small_config(k=1)).gmm.k == 1
+
+
 def test_deserialize_rejects_non_positive_definite_covariance():
     Xn, _ = ring_data(300)
     raw = bytearray(serialize(train_detector(Xn, small_config(k=2))))
@@ -311,7 +326,7 @@ def _uncapped_detector(X, config):
     Z = embed(emb, X)
     nbrs, radii = knn_table(Z, math.ceil(len(Z) ** (2 / 3)))
     dens = knn_log_density(radii, Z.shape[1])
-    qs = config.qs
+    qs = QsConfig()
     labels = quickshift_assign(Z, dens, cluster_cores(dens, nbrs, qs.beta), nbrs)
     kept = select_components(labels, qs.coverage, qs.max_clusters)
     return DetectorModel(emb, fit_em(Z, kept.k, init=kept.labels, seed=config.seed))

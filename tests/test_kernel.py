@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from ocsketch import flows
+from ocsketch.embedding import fit_kjl, fit_nystrom
 from ocsketch.kernel import (
     MAX_QUADRATIC_ROWS,
     gram,
@@ -15,8 +18,13 @@ from ocsketch.kernel import (
     quadratic_rows,
     require_finite,
 )
+from ocsketch.ocsvm import train_ocsvm
 
 from oracles import gaussian_gram, quantile_bandwidth_one
+from oracles import percentile as sorted_percentile
+
+# includes 0.28, whose product with 25 lands just above 7 in floats
+Q_GRID = [i / 100 for i in range(1, 101)]
 
 
 def test_kernel_at_zero_distance():
@@ -43,6 +51,15 @@ def test_kernel_errors():
         gram([[0.0]], [[0.0, 1.0]], 1.0)
     with pytest.raises(ValueError, match="bandwidth must be positive"):
         gram([[0.0]], [[1.0]], 0.0)
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0])
+def test_trainings_reject_bandwidth_through_gram(h):
+    X = np.random.default_rng(0).standard_normal((10, 2))
+    for train in (lambda: fit_kjl(X, 4, 2, h), lambda: fit_nystrom(X, 4, 2, h),
+                  lambda: train_ocsvm(X, h)):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            train()
 
 
 def test_quantile_bandwidth_every_rank_by_hand():
@@ -183,6 +200,28 @@ def test_nearest_rank_by_hand():
         nearest_rank(5, 1.5)
 
 
+def test_nearest_rank_of_count_array_is_elementwise():
+    counts = np.arange(1, 301)
+    for q in Q_GRID:
+        ranks = nearest_rank(counts, q)
+        assert ranks.dtype == np.int64
+        scalar = [nearest_rank(c, q) for c in counts.tolist()]
+        assert ranks.tolist() == scalar == [max(1, math.ceil(q * c - 1e-9)) for c in counts]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.one_of(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=60),
+    st.lists(st.one_of(st.sampled_from([-1.5, -0.0, 0.0, 2.0]),
+                       st.floats(allow_nan=False)), min_size=1, max_size=60)))
+@example(list(range(25)))
+@example([2.5, 1.0, 1.0, 2.5, -3.0] * 5)
+def test_percentile_matches_sorted_list(values):
+    arr = np.array(values)
+    for q in Q_GRID:
+        assert percentile(arr, q) == sorted_percentile(values, q)
+
+
 def test_quantile_bandwidth_uses_the_percentile_rank():
     X = np.random.default_rng(4).standard_normal((30, 3))
     for q in (0.1, 0.25, 0.3, 0.5, 1.0):
@@ -210,7 +249,7 @@ def tie_heavy_points(draw):
 def test_quantile_bandwidth_matches_percentile_or_smallest_positive(case):
     X, q = case
     dists = pdist(X)
-    expected = percentile(dists, q)
+    expected = sorted_percentile(dists, q)
     if expected == 0.0:
         if not np.any(dists > 0):
             with pytest.raises(ValueError):

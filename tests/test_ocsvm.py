@@ -117,7 +117,7 @@ def test_score_batch_matches_single():
 
 def test_score_dimension_mismatch():
     model = train_ocsvm(np.zeros((4, 3)) + np.arange(12).reshape(4, 3), 5.0, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension mismatch"):
         score(model, np.zeros(2))
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -23,6 +25,7 @@ from ocsketch.flows import (
 from ocsketch.pcap import (
     CSV_HEADER,
     PacketRecord,
+    PacketTable,
     PcapParseError,
     parse_packet_csv,
     parse_pcap,
@@ -189,6 +192,22 @@ def test_csv_non_canonical_address_names_line(address):
             f"1000001,10.0.0.2,4000,{address},53,UDP,60,64,0\n")
     with pytest.raises(ValueError, match="line 3"):
         parse_packet_csv(text)
+
+
+@pytest.mark.parametrize("address", ["010.0.0.1", "10.1", "1.2.3.256"])
+def test_from_records_rejects_non_canonical_address(address):
+    for field in ("src_ip", "dst_ip"):
+        record = dataclasses.replace(EXAMPLE_RECORD, **{field: address})
+        with pytest.raises(ValueError, match=re.escape(repr(address))):
+            PacketTable.from_records([record])
+
+
+def test_from_records_roundtrips_through_csv():
+    records = [dataclasses.replace(EXAMPLE_RECORD, src_ip="0.0.0.0", dst_ip="255.255.255.255"),
+               dataclasses.replace(EXAMPLE_RECORD, src_ip="192.168.10.100", timestamp_us=7)]
+    table = PacketTable.from_records(records)
+    assert parse_packet_csv(write_packet_csv(table)) == table
+    assert list(table) == records
 
 
 def test_csv_bad_field_names_line():

@@ -213,6 +213,18 @@ def test_auto_k_runs_the_stages_on_the_capped_rows_only(n):
     assert clustering.k == want.k == 3
 
 
+def test_auto_k_one_point_sample_is_one_cluster():
+    # every sampled row at the origin, 50 Gaussian rows outside the sample
+    n = MAX_QUADRATIC_ROWS + 550
+    rows = quadratic_rows(n)
+    X = np.zeros((n, 4))
+    X[np.setdiff1d(np.arange(n), rows)[:50]] = np.random.default_rng(0).standard_normal((50, 4))
+    clustering = auto_k(X)
+    assert clustering.k == 1
+    assert np.all(clustering.labels[rows] == 0)
+    assert np.count_nonzero(clustering.labels == NOISE) == n - len(rows)
+
+
 def test_k_search_grid_constant():
     # grid used when tuning k instead of the automatic choice
     from ocsketch.evaluate import K_GRID
