@@ -6,11 +6,23 @@ of normal behavior, so the mixture size k never has to be guessed or tuned.
 Run: python3 demos/02_automatic_components.py
 """
 
+import math
+
 import numpy as np
 
 from ocsketch.evaluate import synth_blobs
 from ocsketch.gmm import fit_em
-from ocsketch.quickshift import QsConfig, auto_k
+from ocsketch.quickshift import (BETA, auto_k, cluster_cores, knn_log_density, knn_table,
+                                 quickshift_assign, select_components)
+
+
+def stages_k(X, k_n, beta=BETA):
+    """auto_k's stages, one by one, with k_n neighbors and persistence beta."""
+    nbrs, radii = knn_table(X, k_n)
+    dens = knn_log_density(radii, X.shape[1])
+    labels = quickshift_assign(X, dens, cluster_cores(dens, nbrs, beta), nbrs)
+    return select_components(labels).k
+
 
 # three well-separated modes of "normal" activity
 X, truth = synth_blobs(900, 3, 2, separation=10.0, seed=7)
@@ -33,19 +45,18 @@ print(f"\nGMM after {len(model.diagnostics['loglik_history'])} EM steps: "
       f"covariances shape {model.sigma.shape}")
 
 # beta controls how persistent a density mode must be to count as a cluster;
-# higher beta prunes harder, so the count can only go down
+# higher beta prunes harder, so the count can only go down. auto_k fixes it
+# at BETA, with ceil(n^(2/3)) neighbors (94 here)
 print("\nbeta sweep (cluster count is non-increasing):")
 for beta in (0.5, 0.9, 0.99):
-    k = auto_k(X, QsConfig(beta=beta)).k
-    print(f"  beta = {beta:<5} -> k = {k}")
+    print(f"  beta = {beta:<5} -> k = {stages_k(X, math.ceil(len(X) ** (2 / 3)), beta)}")
 
 # one diffuse mode: no spurious components
 X1, _ = synth_blobs(500, 1, 2, separation=5.0, seed=8)
 print(f"\nsingle blob -> k = {auto_k(X1).k}")
 
-# 25 genuine modes: retention caps at the 20 largest. The default
-# n^(2/3) neighbor count (185 here) exceeds the 100-point blob size and
-# would blur the density field, so resolve finer neighborhoods explicitly
+# 25 genuine modes: retention caps at the 20 largest. auto_k's n^(2/3)
+# neighbor count (185 here) exceeds the 100-point blob size and would blur
+# the density field, so run the stages on finer neighborhoods
 X25, _ = synth_blobs(2500, 25, 2, separation=12.0, seed=9)
-k25 = auto_k(X25, QsConfig(k_neighbors=50)).k
-print(f"25 blobs -> k = {k25} (capped at 20)")
+print(f"25 blobs -> k = {stages_k(X25, 50)} (capped at 20)")

@@ -35,6 +35,6 @@ from .gmm import GmmModel, fit_em, log_pdf
 from .kernel import gram, quantile_bandwidth
 from .ocsvm import OcsvmModel, train_ocsvm
 from .pcap import PacketRecord, PacketTable, parse_packet_csv, parse_pcap, write_packet_csv
-from .quickshift import QsConfig, auto_k
+from .quickshift import auto_k
 
 __version__ = "0.1.0"

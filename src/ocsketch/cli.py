@@ -215,11 +215,11 @@ def build_parser():
     p = sub.add_parser("train", help="fit a model on normal feature rows")
     p.add_argument("--features", required=True)
     p.add_argument("--kind", required=True, choices=["kjl", "nystrom", "ocsvm"])
-    p.add_argument("--m", type=int, default=100)
-    p.add_argument("--d", type=int, default=5)
-    p.add_argument("--h-quantile", type=float, default=0.25)
-    p.add_argument("--k", default=AUTO, help="'auto' or a component count")
-    p.add_argument("--nu", type=float, default=0.5)
+    p.add_argument("--m", type=int, default=ev.MethodConfig.m)
+    p.add_argument("--d", type=int, default=ev.MethodConfig.d)
+    p.add_argument("--h-quantile", type=float, default=ev.MethodConfig.h_quantile)
+    p.add_argument("--k", default=ev.MethodConfig.k, help="'auto' or a component count")
+    p.add_argument("--nu", type=float, default=ev.MethodConfig.nu)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threshold-fpr", type=float, default=None,
                    help="store a threshold calibrated on the training scores")

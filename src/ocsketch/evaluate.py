@@ -8,12 +8,13 @@ the OCSVM baseline are per-rep values divided by the baseline mean.
 
 import dataclasses
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector import AUTO, DetectorConfig, DetectorModel, detect_scores, serialize, train_detector
+from .detector import DetectorConfig, DetectorModel, detect_scores, serialize, train_detector
 from .embedding import KJL, NYSTROM
 from .kernel import quantile_bandwidth, quantile_bandwidths
 from .ocsvm import OcsvmModel, train_ocsvm
@@ -38,17 +39,24 @@ class ExperimentProtocol:
     timing_repeats: int = 20
     seed: int | None = None
 
+    def __post_init__(self):
+        for name, least in (("n_train", 2), ("n_test_per_class", 1), ("n_val", 0),
+                            ("reps", 1), ("timing_repeats", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
 
 @dataclass
 class MethodConfig:
     """One method's settings; the defaults are its no-tuning configuration."""
 
     method: str
-    h_quantile: float = 0.25
-    k: int | str = AUTO
+    h_quantile: float = DetectorConfig.h_quantile
+    k: int | str = DetectorConfig.k
     nu: float = 0.5  # ocsvm only
-    m: int = 100
-    d: int = 5
+    m: int = DetectorConfig.m
+    d: int = DetectorConfig.d
 
     def __post_init__(self):
         if self.method not in METHODS:

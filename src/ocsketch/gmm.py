@@ -7,6 +7,9 @@ from scipy.linalg import LinAlgError, cho_factor, lapack
 
 from .kernel import require_finite
 
+EM_MAX_ITER = 200  # E-steps of one fit at most
+EM_TOL = 1e-4  # stop once the recorded objective improves by less
+
 
 @dataclass(frozen=True)
 class GmmModel:
@@ -183,12 +186,13 @@ def _init_model(X, k, labels, reg, rng):
     return m_step(X, resp, reg)
 
 
-def fit_em(X, k, init=None, tol=1e-4, max_iter=200, seed=None):
+def fit_em(X, k, init=None, seed=None):
     """Fit a k-component full-covariance GMM by EM.
 
     Each M-step is m_step's MAP update with reg = default_reg(X), which
     keeps every covariance positive definite where the plain likelihood is
-    unbounded.
+    unbounded. EM runs at most EM_MAX_ITER E-steps and stops at the first
+    that improves the recorded objective by less than EM_TOL.
 
     Parameters
     ----------
@@ -197,9 +201,6 @@ def fit_em(X, k, init=None, tol=1e-4, max_iter=200, seed=None):
     init : optional (n,) cluster labels 0..k-1, negative (NOISE) for rows
         left out of the initial mixture, e.g. quickshift.auto_k's; when
         absent, k-means++ seeding (seeded) is used.
-    tol : float
-        Stop when the recorded objective improves by less than tol.
-    max_iter : int
     seed : int or None
 
     Returns
@@ -219,12 +220,12 @@ def fit_em(X, k, init=None, tol=1e-4, max_iter=200, seed=None):
     history = []
     reinits = []
     prev = -np.inf
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         resp, loglik = e_step(model, X)
         # tr sigma^-1 = ||L^-1||_F^2 for sigma = L L^T
         objective = loglik - reg / (2 * n) * float(np.sum(model._inv_t ** 2))
         history.append(objective)
-        if abs(objective - prev) < tol:
+        if abs(objective - prev) < EM_TOL:
             break
         prev = objective
         model = m_step(X, resp, reg)

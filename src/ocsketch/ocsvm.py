@@ -14,6 +14,7 @@ from .kernel import gram, require_finite
 
 SV_EPS = 1e-12  # alpha above this counts as a support vector
 CACHE_BYTES = 512 * 2**20  # kernel-row cache budget of one training
+MAX_KERNEL_EVALS = 10_000_000  # evaluation budget of one training's SMO loop
 
 
 @dataclass
@@ -64,7 +65,7 @@ def _initial_alpha(n, C, rng):
     return alpha
 
 
-def train_ocsvm(X, h, nu=0.5, tol=1e-3, max_kernel_evals=10_000_000, seed=None):
+def train_ocsvm(X, h, nu=0.5, tol=1e-3, seed=None):
     """Train a nu-OCSVM by sequential minimal optimization.
 
     Parameters
@@ -76,10 +77,9 @@ def train_ocsvm(X, h, nu=0.5, tol=1e-3, max_kernel_evals=10_000_000, seed=None):
         Upper bound on the flagged-training fraction, lower bound on the
         support-vector fraction.
     tol : float
-        Stop when the maximal violating-pair gap drops below tol.
-    max_kernel_evals : int
-        Kernel-evaluation budget (a cache-miss row costs n); exceeded budget
-        returns the best iterate with converged=False.
+        Stop when the maximal violating-pair gap drops below tol. Past
+        MAX_KERNEL_EVALS kernel evaluations (a cache-miss row costs n) the
+        solver returns its iterate with converged=False.
     seed : int or None
         Seeds the initial feasible point.
 
@@ -101,7 +101,7 @@ def train_ocsvm(X, h, nu=0.5, tol=1e-3, max_kernel_evals=10_000_000, seed=None):
     # the row cache is freed when _smo returns, before the model's arrays are
     # allocated: an array placed above the cached rows on the heap would keep
     # their freed memory resident under the next large allocation
-    grad, converged = _smo(_RowCache(X, h, CACHE_BYTES), alpha, C, tol, max_kernel_evals)
+    grad, converged = _smo(_RowCache(X, h, CACHE_BYTES), alpha, C, tol)
     rho = _offset(grad, alpha, C)
     sv = alpha > SV_EPS
     return OcsvmModel(
@@ -114,7 +114,7 @@ def train_ocsvm(X, h, nu=0.5, tol=1e-3, max_kernel_evals=10_000_000, seed=None):
     )
 
 
-def _smo(cache, alpha, C, tol, max_kernel_evals):
+def _smo(cache, alpha, C, tol):
     """Maximal-violating-pair SMO from a feasible alpha, updated in place;
     returns the gradient Q alpha and whether the gap fell below tol."""
     n = alpha.shape[0]
@@ -137,7 +137,7 @@ def _smo(cache, alpha, C, tol, max_kernel_evals):
         gap = grad[j] - grad[i]
         if gap <= tol:
             return grad, True
-        if cache.evals >= max_kernel_evals:
+        if cache.evals >= MAX_KERNEL_EVALS:
             break
         qi = cache.row(i)
         qj = cache.row(j)

@@ -144,8 +144,9 @@ def _check_ip(text):
         raise ValueError(f"bad IPv4 address {text!r}")
     value = 0
     for p in parts:
-        v = int(p)
-        # int() also takes leading zeros, spaces and "_"
+        # int() alone also takes leading zeros, spaces, "_" and other scripts'
+        # digits, and raises its own message on any other text
+        v = int(p) if len(p) <= 3 and p.isascii() and p.isdigit() else -1
         if str(v) != p or not 0 <= v <= 255:
             raise ValueError(f"bad IPv4 octet {p!r} in {text!r}")
         value = value << 8 | v

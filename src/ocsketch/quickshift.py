@@ -20,13 +20,9 @@ NOISE = -1
 
 _BLOCK_ROWS = 256
 
-
-@dataclass
-class QsConfig:
-    beta: float = 0.9
-    k_neighbors: int | None = None  # default ceil(N^(2/3)) for N clustered rows, below N
-    coverage: float = 0.95
-    max_clusters: int = 20
+BETA = 0.9  # persistence: a core's peak must stand log(1/(1-BETA)) above its merge
+COVERAGE = 0.95  # retained clusters cover this fraction of the clustered rows
+MAX_CLUSTERS = 20  # and number at most this many
 
 
 @dataclass
@@ -253,7 +249,7 @@ def quickshift_assign(X, densities, cores, nbrs):
     return labels
 
 
-def select_components(labels, coverage=0.95, cap=20):
+def select_components(labels, coverage=COVERAGE, cap=MAX_CLUSTERS):
     """Retain the largest clusters covering the requested data fraction.
 
     Clusters are sorted by size (descending, ties by label); the shortest
@@ -282,12 +278,13 @@ def select_components(labels, coverage=0.95, cap=20):
     return Clustering(new_labels, len(retained))
 
 
-def auto_k(X, config=None):
+def auto_k(X):
     """Full pipeline: density -> cores -> assignment -> retention.
 
     The pipeline runs on kernel.quadratic_rows(n): every row up to
     kernel.MAX_QUADRATIC_ROWS, else a fixed-seed subset of that many, and
-    the rows outside it are labelled NOISE. Those rows are one cluster
+    the rows outside it are labelled NOISE. On its N rows the kNN table
+    takes k_n = min(ceil(N^(2/3)), N - 1) neighbors. They are one cluster
     (k = 1) when they are all one point, which no density can rank.
     Returns a Clustering; gmm.fit_em(X, k, init=labels) seeds the mixture
     with the retained clusters' moments and refines it on every row.
@@ -296,21 +293,17 @@ def auto_k(X, config=None):
     n = X.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
-    if config is None:
-        config = QsConfig()
     rows = quadratic_rows(n)
     S = X[rows]
     if (S == S[0]).all():
         kept = Clustering(np.zeros(len(rows), dtype=np.int64), 1)
     else:
-        k_n = config.k_neighbors
-        if k_n is None:
-            k_n = min(math.ceil(len(rows) ** (2 / 3)), len(rows) - 1)
+        k_n = min(math.ceil(len(rows) ** (2 / 3)), len(rows) - 1)
         nbrs, radii = knn_table(S, k_n)
         dens = knn_log_density(radii, S.shape[1])
-        cores = cluster_cores(dens, nbrs, config.beta)
+        cores = cluster_cores(dens, nbrs, BETA)
         labels = quickshift_assign(S, dens, cores, nbrs)
-        kept = select_components(labels, config.coverage, config.max_clusters)
+        kept = select_components(labels)
     labels = np.full(n, NOISE, dtype=np.int64)
     labels[rows] = kept.labels
     return Clustering(labels, kept.k)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ocsketch.cli import main, read_feature_csv
+from ocsketch.detector import DetectorConfig, serialize, train_detector
 from ocsketch.pcap import CSV_HEADER, parse_pcap, write_packet_csv
 from test_pcap import snapped_capture
 
@@ -182,6 +183,28 @@ def test_evaluate_rejects_unknown_protocol_field(tmp_path, capsys):
                "--protocol", str(proto_path), "--report", str(tmp_path / "r.json")])
     assert rc == 1
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("reps", 0), ("timing_repeats", 0), ("reps", "2")])
+def test_evaluate_rejects_a_protocol_it_cannot_run(tmp_path, capsys, field, value):
+    npath, vpath = synth_pools(tmp_path)
+    proto_path = tmp_path / "p.json"
+    proto_path.write_text(json.dumps({field: value}))
+    report_path = tmp_path / "r.json"
+    rc = main(["evaluate", "--normal", str(npath), "--novel", str(vpath),
+               "--protocol", str(proto_path), "--report", str(report_path)])
+    assert rc == 1
+    assert f"{field} must be an integer of at least 1, got {value!r}" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
+def test_train_defaults_are_the_library_defaults(tmp_path):
+    npath, _ = synth_pools(tmp_path)
+    model_path = tmp_path / "m.bin"
+    assert main(["train", "--features", str(npath), "--kind", "kjl", "--seed", "0",
+                 "--out", str(model_path)]) == 0
+    _, X, _ = read_feature_csv(npath)
+    assert model_path.read_bytes() == serialize(train_detector(X, DetectorConfig(seed=0)))
 
 
 def test_train_ocsvm_rejects_threshold_fpr(tmp_path, capsys):

@@ -26,7 +26,9 @@ from ocsketch.gmm import GmmModel, fit_em, log_pdf
 from ocsketch.kernel import quadratic_rows
 from ocsketch.ocsvm import OcsvmModel, train_ocsvm
 from ocsketch.quickshift import (
-    QsConfig,
+    BETA,
+    COVERAGE,
+    MAX_CLUSTERS,
     cluster_cores,
     knn_log_density,
     knn_table,
@@ -326,9 +328,8 @@ def _uncapped_detector(X, config):
     Z = embed(emb, X)
     nbrs, radii = knn_table(Z, math.ceil(len(Z) ** (2 / 3)))
     dens = knn_log_density(radii, Z.shape[1])
-    qs = QsConfig()
-    labels = quickshift_assign(Z, dens, cluster_cores(dens, nbrs, qs.beta), nbrs)
-    kept = select_components(labels, qs.coverage, qs.max_clusters)
+    labels = quickshift_assign(Z, dens, cluster_cores(dens, nbrs, BETA), nbrs)
+    kept = select_components(labels, COVERAGE, MAX_CLUSTERS)
     return DetectorModel(emb, fit_em(Z, kept.k, init=kept.labels, seed=config.seed))
 
 

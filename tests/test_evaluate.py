@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,16 @@ def test_default_configs():
     X, _ = synth_blobs(40, 1, 2, 1.0, seed=0)
     with pytest.raises(ValueError, match="unknown method 'svdd'"):
         run_experiment(X, X, ["kjl-qs", "svdd"])
+
+
+@pytest.mark.parametrize("field, value, least", [
+    ("n_train", 1, 2), ("n_test_per_class", 0, 1), ("n_val", -2, 0), ("reps", 0, 1),
+    ("timing_repeats", 0, 1), ("reps", 1.5, 1), ("n_train", "300", 2),
+])
+def test_protocol_rejects_settings_it_cannot_run(field, value, least):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{field} must be an integer of at least {least}, got {value!r}")):
+        ExperimentProtocol(**{field: value})
 
 
 def test_grid_sizes():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ocsketch import ocsvm
 from ocsketch.kernel import gram, quantile_bandwidth
 from ocsketch.detector import serialize
 from ocsketch.ocsvm import SV_EPS, OcsvmModel, score, train_ocsvm
@@ -133,10 +134,11 @@ def test_score_rejects_non_finite(bad):
         score(model, Q[3])
 
 
-def test_eval_budget_returns_flagged_iterate():
+def test_eval_budget_returns_flagged_iterate(monkeypatch):
     rng = np.random.default_rng(7)
     X = rng.standard_normal((100, 2))
-    model = train_ocsvm(X, 0.5, nu=0.5, max_kernel_evals=300, seed=0)
+    monkeypatch.setattr(ocsvm, "MAX_KERNEL_EVALS", 300)
+    model = train_ocsvm(X, 0.5, nu=0.5, seed=0)
     assert not model.converged
     assert model.alpha.sum() == pytest.approx(1.0, abs=1e-8)
 

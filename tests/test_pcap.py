@@ -184,17 +184,19 @@ def test_csv_unknown_proto_names_line():
         parse_packet_csv(text)
 
 
+# "10.0.0.١" ends in an Arabic-Indic digit, which int() reads
 @pytest.mark.parametrize("address", ["010.0.0.1", " 10.0.0.1", "1_0.0.0.1", "10.0.0.+1",
-                                     "10.0.0.256", "10.0.0.-1", "10.0.0", "10.0..1"])
+                                     "10.0.0.256", "10.0.0.-1", "10.0.0", "10.0..1",
+                                     "10.0.0.x", "10.0.0.١"])
 def test_csv_non_canonical_address_names_line(address):
     text = (CSV_HEADER + "\n"
             "1000000,10.0.0.1,53,10.0.0.2,4000,UDP,60,64,0\n"
             f"1000001,10.0.0.2,4000,{address},53,UDP,60,64,0\n")
-    with pytest.raises(ValueError, match="line 3"):
+    with pytest.raises(ValueError, match="line 3: bad IPv4 .*" + re.escape(repr(address))):
         parse_packet_csv(text)
 
 
-@pytest.mark.parametrize("address", ["010.0.0.1", "10.1", "1.2.3.256"])
+@pytest.mark.parametrize("address", ["010.0.0.1", "10.1", "1.2.3.256", "10.0.0.x", "10.0.0.١"])
 def test_from_records_rejects_non_canonical_address(address):
     for field in ("src_ip", "dst_ip"):
         record = dataclasses.replace(EXAMPLE_RECORD, **{field: address})

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocsketch import quickshift
+from ocsketch import gmm, quickshift
 from ocsketch.evaluate import synth_blobs
 from ocsketch.gmm import default_reg, fit_em
 from ocsketch.kernel import MAX_QUADRATIC_ROWS, quadratic_rows
 from ocsketch.quickshift import (
+    BETA,
+    COVERAGE,
+    MAX_CLUSTERS,
     NOISE,
-    QsConfig,
     _merge_events,
     auto_k,
     cluster_cores,
@@ -157,13 +159,14 @@ def test_select_components_cap():
     assert clustering.k == 20
 
 
-def test_select_components_labels_seed_em_moments():
+def test_select_components_labels_seed_em_moments(monkeypatch):
     # coverage 0.85 keeps the 60 and 30 clusters; the 10 rows of label 2 are NOISE
     labels = np.array([0] * 60 + [1] * 30 + [2] * 10)
     X = np.random.default_rng(7).standard_normal((100, 2))
     clustering = select_components(labels, coverage=0.85, cap=20)
     assert clustering.k == 2
-    model = fit_em(X, clustering.k, init=clustering.labels, max_iter=0)
+    monkeypatch.setattr(gmm, "EM_MAX_ITER", 0)  # the initial mixture, no EM step
+    model = fit_em(X, clustering.k, init=clustering.labels)
     assert np.allclose(model.pi, [60 / 90, 30 / 90], rtol=0, atol=1e-15)
     for l, rows in enumerate((slice(0, 60), slice(60, 90))):
         pts = X[rows]
@@ -204,11 +207,11 @@ def test_auto_k_runs_the_stages_on_the_capped_rows_only(n):
     off[rows] = False
     assert np.all(clustering.labels[off] == NOISE)
 
-    S, config = X[rows], QsConfig()
+    S = X[rows]
     nbrs, radii = knn_table(S, math.ceil(len(S) ** (2 / 3)))
     dens = knn_log_density(radii, S.shape[1])
-    labels = quickshift_assign(S, dens, cluster_cores(dens, nbrs, config.beta), nbrs)
-    want = select_components(labels, config.coverage, config.max_clusters)
+    labels = quickshift_assign(S, dens, cluster_cores(dens, nbrs, BETA), nbrs)
+    want = select_components(labels, COVERAGE, MAX_CLUSTERS)
     assert np.array_equal(clustering.labels[rows], want.labels)
     assert clustering.k == want.k == 3
 
@@ -233,11 +236,9 @@ def test_k_search_grid_constant():
 
 
 def test_qsconfig_defaults():
-    cfg = QsConfig()
-    assert cfg.beta == 0.9
-    assert cfg.coverage == 0.95
-    assert cfg.max_clusters == 20
-    assert cfg.k_neighbors is None  # resolved to ceil(n^(2/3)) at run time
+    assert BETA == 0.9
+    assert COVERAGE == 0.95
+    assert MAX_CLUSTERS == 20
 
 
 @st.composite
