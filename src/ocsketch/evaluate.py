@@ -45,6 +45,9 @@ class ExperimentProtocol:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        if self.seed is not None and not (isinstance(self.seed, numbers.Integral)
+                                          and self.seed >= 0):
+            raise ValueError(f"seed must be None or a non-negative integer, got {self.seed!r}")
 
 
 @dataclass
@@ -171,6 +174,9 @@ def run_experiment(normal_pool, novel_pool, methods, protocol=None,
         protocol = ExperimentProtocol()
     if scenario not in (MINIMAL_TUNING, NO_TUNING):
         raise ValueError(f"unknown scenario {scenario!r}")
+    if scenario == MINIMAL_TUNING and protocol.n_val < 2:
+        raise ValueError(f"n_val must be at least 2 under {MINIMAL_TUNING}, one validation "
+                         f"row per class, got {protocol.n_val}")
     defaults = {m: MethodConfig(method=m) for m in methods}  # rejects unknown methods
 
     p = protocol

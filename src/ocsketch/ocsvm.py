@@ -71,7 +71,7 @@ def train_ocsvm(X, h, nu=0.5, tol=1e-3, seed=None):
     Parameters
     ----------
     X : array-like, shape (n, D), n >= 2
-    h : float > 0
+    h : float > 0 with h**2 a finite, normal float
         Gaussian kernel bandwidth; kernel.gram rejects any other value.
     nu : float in (0, 1]
         Upper bound on the flagged-training fraction, lower bound on the

@@ -25,7 +25,7 @@ from scipy.spatial.distance import cdist, pdist
 from scipy.special import logsumexp
 
 from ocsketch.flows import STATS_HEADER_DIM, TCP_FLAG_BITS, Flow
-from ocsketch.kernel import gram, nearest_rank, require_finite
+from ocsketch.kernel import nearest_rank, require_finite
 from ocsketch.pcap import PacketRecord, PcapParseError
 
 
@@ -171,15 +171,16 @@ def nystrom_target_gram(K_II, K_IJ, d, eig_rtol=1e-12):
 
 
 def embed_cdist(model, X):
-    """The former embedding.embed: a cdist gram against the landmarks, then P.
-    Same contract as embedding.embed."""
+    """embed as a cdist gram against the landmarks, then P, with the kernel's
+    exponent unfloored (so a far query's kernel values underflow to 0 or a
+    subnormal). Same contract as embedding.embed."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.input_dim:
         raise ValueError(
             f"input dim {X.shape[1]} != landmark dim {model.input_dim}"
         )
     require_finite(X)
-    K = gram(X, model.landmarks, model.h)
+    K = np.exp(-cdist(X, model.landmarks, "sqeuclidean") / model.h**2)
     return K @ model.P.T
 
 

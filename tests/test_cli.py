@@ -198,6 +198,16 @@ def test_evaluate_rejects_a_protocol_it_cannot_run(tmp_path, capsys, field, valu
     assert not report_path.exists()
 
 
+def test_evaluate_rejects_a_seed_it_cannot_draw_with(tmp_path, capsys):
+    npath, vpath = synth_pools(tmp_path)
+    proto_path = tmp_path / "p.json"
+    proto_path.write_text('{"seed": "x"}')
+    rc = main(["evaluate", "--normal", str(npath), "--novel", str(vpath),
+               "--protocol", str(proto_path), "--report", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert "seed must be None or a non-negative integer, got 'x'" in capsys.readouterr().err
+
+
 def test_train_defaults_are_the_library_defaults(tmp_path):
     npath, _ = synth_pools(tmp_path)
     model_path = tmp_path / "m.bin"

@@ -13,7 +13,7 @@ from ocsketch.embedding import (
     fit_kjl,
     fit_nystrom,
 )
-from ocsketch.kernel import gram, quantile_bandwidth
+from ocsketch.kernel import EXP_FLOOR, gram, quantile_bandwidth
 
 from oracles import embed_cdist, nystrom_target_gram
 
@@ -216,6 +216,6 @@ def test_embed_kernel_matches_cdist_oracle(case):
     centre = landmarks.mean(axis=0)
     S = np.sum((Q - centre) ** 2, axis=1)[:, None] + np.sum((landmarks - centre) ** 2, axis=1)
     assert np.all(np.abs(K - K_oracle) <= kernel_error_bound(D, S, h))
-    assert K.min() >= 0.0 and K.max() <= 1.0
+    assert K.min() >= np.exp(EXP_FLOOR) and K.max() <= 1.0
     if identical:  # every landmark is the query: exactly 1
         assert np.all(K[:m] == 1.0)

@@ -93,6 +93,13 @@ def test_protocol_rejects_settings_it_cannot_run(field, value, least):
         ExperimentProtocol(**{field: value})
 
 
+@pytest.mark.parametrize("seed", ["x", -1, 1.5])
+def test_protocol_rejects_a_seed_rng_cannot_take(seed):
+    with pytest.raises(ValueError, match=re.escape(
+            f"seed must be None or a non-negative integer, got {seed!r}")):
+        ExperimentProtocol(seed=seed)
+
+
 def test_grid_sizes():
     assert len(tuning_grid("kjl-qs")) == 10
     assert len(tuning_grid("ocsvm")) == 10
@@ -195,6 +202,14 @@ def test_run_experiment_tuned_scenario():
     assert rep.per_rep["ocsvm"]["auc"][0] > 0.95
     assert rep.per_rep["kjl-qs"]["auc"][0] > 0.9
     assert rep.per_rep["kjl-qs"]["h_quantile"][0] in H_QUANTILE_GRID
+
+
+def test_tuned_scenario_needs_a_validation_row_per_class():
+    normal, novel = small_pools(seed=10)
+    proto = ExperimentProtocol(n_train=300, n_test_per_class=80, n_val=1,
+                               reps=1, timing_repeats=1, seed=3)
+    with pytest.raises(ValueError, match="n_val must be at least 2 under minimal_tuning"):
+        run_experiment(normal, novel, ["kjl-qs"], proto, MINIMAL_TUNING)
 
 
 def test_run_experiment_pool_too_small():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from ocsketch import flows
-from ocsketch.embedding import fit_kjl, fit_nystrom
+from ocsketch.detector import DetectorConfig, train_detector
+from ocsketch.embedding import embed, fit_kjl, fit_nystrom
 from ocsketch.kernel import (
+    EXP_FLOOR,
     MAX_QUADRATIC_ROWS,
     gram,
     nearest_rank,
@@ -51,15 +53,26 @@ def test_kernel_errors():
         gram([[0.0]], [[0.0, 1.0]], 1.0)
     with pytest.raises(ValueError, match="bandwidth must be positive"):
         gram([[0.0]], [[1.0]], 0.0)
+    with pytest.raises(ValueError, match=r"got h=1e\+160"):
+        gram([[0.0]], [[1.0]], 1e160)
 
 
-@pytest.mark.parametrize("h", [0.0, -1.0])
+# h**2 must be a finite, normal float: 1e-170 squares to 0 and 1e160 to inf
+@pytest.mark.parametrize("h", [0.0, -1.0, 1e-170, 1e160, math.inf, math.nan])
 def test_trainings_reject_bandwidth_through_gram(h):
     X = np.random.default_rng(0).standard_normal((10, 2))
     for train in (lambda: fit_kjl(X, 4, 2, h), lambda: fit_nystrom(X, 4, 2, h),
-                  lambda: train_ocsvm(X, h)):
+                  lambda: train_ocsvm(X, h),
+                  lambda: train_detector(X, DetectorConfig(m=4, d=2, h=h, k=1))):
         with pytest.raises(ValueError, match="bandwidth must be positive"):
             train()
+
+
+def test_quantile_bandwidth_too_small_to_square_is_rejected():
+    # rows ~1e-160 apart give a quantile h whose square is subnormal
+    X = 1e-160 * np.random.default_rng(0).standard_normal((10, 2))
+    with pytest.raises(ValueError, match=r"h\*\*2 a finite, normal float"):
+        train_detector(X, DetectorConfig(m=4, d=2, k=1))
 
 
 def test_quantile_bandwidth_every_rank_by_hand():
@@ -171,6 +184,38 @@ def test_gram_matches_elementwise_oracle():
     X = rng.standard_normal((3, 4))
     Y = rng.standard_normal((5, 4))
     assert np.allclose(gram(X, Y, 0.9), gaussian_gram(X, Y, 0.9), atol=1e-12)
+
+
+def test_far_rows_keep_exp_off_its_slow_path():
+    # rows ~1e3 bandwidths from every landmark have exponents near -3e6, which
+    # exp underflows to 0 on its slow path unless they are floored
+    X = np.random.default_rng(11).standard_normal((30, 3))
+    model = fit_kjl(X, 10, 3, 1.0, seed=0)
+    far = X[:5] + 1e3
+    with np.errstate(under="raise"):
+        K = gram(far, model.landmarks, model.h)
+        Z = embed(model, far)
+    assert np.all(K == np.exp(EXP_FLOOR))
+    assert np.all(np.isfinite(Z))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(-3.0, 3.0))
+def test_gram_is_the_unfloored_kernel_down_to_the_floor(seed, D, log_h):
+    rng = np.random.default_rng(seed)
+    h = 10.0**log_h
+    X = h * rng.standard_normal((8, D)) * 10.0 ** rng.uniform(-2, 2, (8, 1))
+    # a ladder of points at exponents 0 to -1000 from X[0], across the floor
+    # and exp's slow path below about -708
+    ladder = X[0] + h * np.sqrt(np.linspace(0.0, 1000.0, 101))[:, None] * np.eye(D)[0]
+    Y = np.vstack([X, ladder, 10.0 * X])
+    with np.errstate(under="ignore"):
+        exponent = -cdist(X, Y, "sqeuclidean") / h**2
+        unfloored = np.exp(exponent)
+    G = gram(X, Y, h)
+    above = exponent >= EXP_FLOOR
+    assert np.array_equal(G[above], unfloored[above])
+    assert np.all(G[~above] == np.exp(EXP_FLOOR))
 
 
 def test_gram_positive_semidefinite():

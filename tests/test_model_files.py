@@ -151,6 +151,7 @@ def small_detector_file():
     (M * D, float("inf"), "projection P"),
     (H_AT, 0.0, "bandwidth h"),
     (H_AT, -1.0, "bandwidth h"),
+    (H_AT, 1e-170, "bandwidth"),  # EmbeddingModel: h**2 is 0
     (PI_AT, 1.5, "weights pi"),
     (SIGMA_AT, -5.0, r"sigma\[0\]"),
     (SIGMA_AT + d * d + d, 50.0, r"sigma\[1\]"),  # lower off-diagonal entry
